@@ -46,9 +46,9 @@ def _single_run(run: int, sources: np.ndarray, family: MixingFamily,
         A = gen_mixing(MixingSpec(family=family, dim=q, seed=mix_seed))
         X = A @ sources
         cfg = replace(config, rng_seed=dec_seed, channel_center=False)
-        result, _, _ = decompose(DataMatrix(X), q=q, config=cfg)
+        result, model, _ = decompose(DataMatrix(X), q=q, config=cfg)
         report = sir(sources, result.S_hat)
-        stage1 = sir(sources, result.Q_stage1 @ _whitened(result))
+        stage1 = sir(sources, result.Q_stage1 @ model.x_tilde)
         gain = float(result.stage2_objectives.sum()
                      - result.stage1_objectives.sum())
         return McRunDetail(run=run, report=report, stage1_report=stage1,
@@ -56,11 +56,6 @@ def _single_run(run: int, sources: np.ndarray, family: MixingFamily,
     except (PursuitError, ValueError, np.linalg.LinAlgError) as exc:
         return McRunDetail(run=run, report=None, stage1_report=None,
                            error=f"{type(exc).__name__}: {exc}")
-
-
-def _whitened(result) -> np.ndarray:
-    # S_hat = Q x_tilde, recover x_tilde without carrying it separately
-    return np.linalg.solve(result.Q, result.S_hat)
 
 
 def monte_carlo_bss(sources: np.ndarray, family: MixingFamily | str,

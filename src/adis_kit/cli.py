@@ -98,8 +98,6 @@ def build_pursuit_config(doc: dict) -> PursuitConfig:
 
 
 def effective_config(doc: dict, cfg: PursuitConfig) -> dict:
-    solver = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-              for k, v in asdict(cfg.solver).items()}
     return {
         "input": doc.get("input"),
         "q": doc.get("q"),
@@ -111,7 +109,7 @@ def effective_config(doc: dict, cfg: PursuitConfig) -> dict:
                     "run_stage2": cfg.run_stage2,
                     "channel_center": cfg.channel_center,
                     "rng_seed": cfg.rng_seed},
-        "solver": solver,
+        "solver": asdict(cfg.solver),
     }
 
 

@@ -5,7 +5,7 @@ and its gradient. The built-in contrast is the squared distance of the
 projected log-cosh moment from its Gaussian value, a robust non-Gaussianity
 score. ``compose`` turns a contrast plus optional hooks into minimization
 problems for the solver: the per-component problem in deflated coordinates
-and the joint problem over all directions at once.
+and the joint problem over rotations of all directions at once.
 """
 
 from __future__ import annotations
@@ -114,6 +114,17 @@ class ConstraintSet:
     def n_ineq(self) -> int:
         return sum(m for _, m in self.ineq)
 
+    def violation(self, w: np.ndarray, X: np.ndarray) -> float:
+        """Largest equality residual or inequality shortfall at ``w``."""
+        worst = 0.0
+        if self.eq:
+            c, _ = _stack_user_block(self.eq, w, X, None)
+            worst = max(worst, float(np.max(np.abs(c))))
+        if self.ineq:
+            g, _ = _stack_user_block(self.ineq, w, X, None)
+            worst = max(worst, float(np.max(-g)))
+        return worst
+
 
 def _stack_user_block(blocks, w, X, chain: Optional[np.ndarray]):
     """Evaluate user constraint blocks at w, mapping Jacobians through chain."""
@@ -142,7 +153,8 @@ class ProblemFactory:
     b_hook: Optional[HookFn] = None
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
 
-    def _score(self, w, X):
+    def score(self, w, X):
+        """Contrast plus hook at direction ``w``: value and gradient."""
         value, grad = self.contrast.evaluate(w, X)
         if self.b_hook is not None:
             bv, bg = self.b_hook(w, X)
@@ -164,7 +176,7 @@ class ProblemFactory:
 
         def objective(z):
             w = W @ z
-            value, grad_w = self._score(w, X)
+            value, grad_w = self.score(w, X)
             return -value, -(W.T @ grad_w)
 
         cs = self.constraints
@@ -189,69 +201,81 @@ class ProblemFactory:
                           n_eq=1 + cs.n_eq, ineq_constraints=ineq,
                           n_ineq=n_ineq, name="pursuit-component")
 
-    def joint_problem(self, x_tilde: np.ndarray, q: int) -> NlpProblem:
-        """Problem over all q directions stacked row-major into one vector.
+    def joint_problem(self, x_tilde: np.ndarray,
+                      Q_start: np.ndarray) -> NlpProblem:
+        """Problem over the rotations of all directions at once.
 
-        The objective sums the per-direction score; a single scalar equality
-        collects every pairwise orthonormality defect as a sum of squares.
-        User constraints are applied to each direction.
+        The variables are the strictly upper triangle of a skew matrix K and
+        the directions are the rows of ``cayley_rotation(x, Q_start)[0]``, so
+        orthonormality is structural and the only constraints are the user
+        blocks, applied to each direction and pulled back through the map.
+        The objective sums the per-direction score.
         """
         X = np.asarray(x_tilde, dtype=float)
+        Q_start = np.asarray(Q_start, dtype=float)
+        q = Q_start.shape[0]
         cs = self.constraints
-        n_user = cs.n_eq
 
         def objective(x):
-            Q = x.reshape(q, q)
+            Q, pull = cayley_rotation(x, Q_start)
             total = 0.0
-            grad = np.empty_like(Q)
+            G = np.empty_like(Q)
             for k in range(q):
-                value, gw = self._score(Q[k], X)
+                value, G[k] = self.score(Q[k], X)
                 total += value
-                grad[k] = gw
-            return -total, -grad.ravel()
+            return -total, -pull(G)
 
-        def eq(x):
-            Q = x.reshape(q, q)
-            G = Q @ Q.T - np.eye(q)
-            value = 0.0
-            grad = np.zeros_like(Q)
-            for i in range(q):
-                for j in range(i, q):
-                    e = G[i, j]
-                    value += e * e
-                    if i == j:
-                        grad[i] += 4.0 * e * Q[i]
-                    else:
-                        grad[i] += 2.0 * e * Q[j]
-                        grad[j] += 2.0 * e * Q[i]
-            c = np.array([value])
-            J = grad.ravel()[None, :]
-            if cs.eq:
-                for k in range(q):
-                    uc, uJ = _stack_user_block(cs.eq, Q[k], X, None)
-                    c = np.concatenate([c, uc])
-                    Jrow = np.zeros((uc.size, q * q))
-                    Jrow[:, k * q:(k + 1) * q] = uJ
-                    J = np.vstack([J, Jrow])
-            return c, J
-
-        ineq = None
-        n_ineq = cs.n_ineq * q
-        if n_ineq:
-            def ineq(x):
-                Q = x.reshape(q, q)
+        def per_direction(blocks):
+            def fn(x):
+                Q, pull = cayley_rotation(x, Q_start)
                 vals, jacs = [], []
                 for k in range(q):
-                    uv, uJ = _stack_user_block(cs.ineq, Q[k], X, None)
-                    vals.append(uv)
-                    Jrow = np.zeros((uv.size, q * q))
-                    Jrow[:, k * q:(k + 1) * q] = uJ
-                    jacs.append(Jrow)
+                    v, J = _stack_user_block(blocks, Q[k], X, None)
+                    G = np.zeros((v.size, q, q))
+                    G[:, k] = J
+                    vals.append(v)
+                    jacs.append(pull(G))
                 return np.concatenate(vals), np.vstack(jacs)
+            return fn
 
-        return NlpProblem(dim=q * q, objective=objective, eq_constraints=eq,
-                          n_eq=1 + n_user * q, ineq_constraints=ineq,
-                          n_ineq=n_ineq, name="pursuit-joint")
+        return NlpProblem(dim=q * (q - 1) // 2, objective=objective,
+                          eq_constraints=per_direction(cs.eq) if cs.eq else None,
+                          n_eq=cs.n_eq * q,
+                          ineq_constraints=(per_direction(cs.ineq)
+                                            if cs.ineq else None),
+                          n_ineq=cs.n_ineq * q, name="pursuit-joint")
+
+
+def cayley_rotation(x: np.ndarray, Q_start: np.ndarray
+                    ) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Rotate the rows of ``Q_start`` by the Cayley transform of a skew K.
+
+    ``x`` holds the strictly upper triangle of K (row-major) and
+    ``C(K) = (I - K/2)^{-1} (I + K/2)``; the rotated directions are
+    ``C(K) @ Q_start``. C(K) is orthogonal for every K and reaches every
+    rotation without an eigenvalue -1, so the image is every orthonormal
+    matrix whose rotation relative to ``Q_start`` has no eigenvalue -1.
+
+    Returns the rotated matrix and the pullback that maps gradients with
+    respect to it, of shape ``(..., q, q)``, to gradients with respect to
+    ``x``: the strictly upper triangle of ``M - M'`` with
+    ``M = (I - K/2)^{-T} G Q_start' (C + I)' / 2``.
+    """
+    q = Q_start.shape[0]
+    iu = np.triu_indices(q, 1)
+    K = np.zeros((q, q))
+    K[iu] = x
+    K -= K.T
+    eye = np.eye(q)
+    inv = np.linalg.inv(eye - 0.5 * K)
+    C = inv @ (eye + 0.5 * K)
+    right = Q_start.T @ (C + eye).T
+
+    def pull(G):
+        M = 0.5 * (inv.T @ G @ right)
+        return (M - np.swapaxes(M, -1, -2))[..., iu[0], iu[1]]
+
+    return C @ Q_start, pull
 
 
 def compose(contrast: ContrastFn, b_hook: Optional[HookFn] = None,

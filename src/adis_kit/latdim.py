@@ -4,7 +4,12 @@ Two stages: a permutation bound first (eigenvalues of the column-permuted
 data flatten systematic structure, so ranks where the observed spectrum
 exceeds the permuted one are significant), then leave-one-out cross
 validation of the constant-tail eigenvalue model, scored by the step size of
-the mean CV error and robustified by a cumulative-argmax vote.
+the mean CV error and robustified by a cumulative-argmax vote. A bootstrap
+over the columns reruns the CV stage on resampled spectra; a strict majority
+of the resamples can overrule the full-data estimate. The standardized drop
+saturates at a cap set by the tail length alone, so on a single spectrum a
+noise step with a short tail can outscore the genuine step, but seldom on a
+majority of resamples.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ VAR_GUARD = 1e-300
 # projection annihilates one direction in both the observed and the permuted
 # matrix) land at +-1e-14 * lambda_1 and must not decide the bound
 EXCEED_RTOL = 1e-9
+# bootstrap resamples of the columns; a different estimate needs more than
+# half of them
+BOOT_REPS = 15
 
 
 @dataclass
@@ -34,6 +42,7 @@ class LatDimSummary:
     f_of_r: np.ndarray            # cumulative argmax of delta
     g_counts: Dict[int, int]      # vote counts per argmax location
     q_hat: int
+    boot_votes: Dict[int, int]    # CV estimate counts over the resamples
     rng_seed: int
     degenerate: bool = False      # every delta hit the zero-variance guard
     scan_empty: bool = False      # q_l .. p-4 was empty
@@ -53,6 +62,7 @@ class LatDimSummary:
             "delta": self.delta.tolist(),
             "f_of_r": self.f_of_r.tolist(),
             "g_counts": {str(k): v for k, v in self.g_counts.items()},
+            "boot_votes": {str(k): v for k, v in self.boot_votes.items()},
         })
 
     def profile_csv(self) -> str:
@@ -141,11 +151,56 @@ def vote_from_delta(qs: np.ndarray, delta: np.ndarray
     return f_of_r, g_counts, winner
 
 
+def _cv_drops(lam: np.ndarray, qs: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CV profile at every scanned q and the standardized drop to q+1.
+
+    Returns ``(e_bar, var_e, delta, guarded)``; ``guarded`` marks drops whose
+    variance hit the zero guard (their delta is 0).
+    """
+    p = lam.size
+    prof = {q: cv_profile(lam, q) for q in range(int(qs[0]), p - 2)}
+    e_bar = np.array([prof[q][0] for q in qs])
+    var_e = np.array([prof[q][1] for q in qs])
+
+    delta = np.empty(qs.size)
+    guarded = np.zeros(qs.size, dtype=bool)
+    for i, q in enumerate(qs):
+        num = prof[q][0] - prof[q + 1][0]
+        den = prof[q][1] + prof[q + 1][1]
+        if den < VAR_GUARD:
+            delta[i] = 0.0
+            guarded[i] = True
+        else:
+            delta[i] = num / np.sqrt(den)
+    return e_bar, var_e, delta, guarded
+
+
+def _bootstrap_votes(X: np.ndarray, qs: np.ndarray, q_l: int, seed: int
+                     ) -> Dict[int, int]:
+    """CV estimates on ``BOOT_REPS`` column resamples, counted per value.
+
+    Each resample reruns the CV stage and vote over the scan ``qs`` of the
+    full data; a resample whose drops are all guarded votes for ``q_l``.
+    """
+    rng = np.random.default_rng([seed, 1])
+    n = X.shape[1]
+    votes: Dict[int, int] = {}
+    for _ in range(BOOT_REPS):
+        lam = _spectrum(X[:, rng.integers(0, n, size=n)])
+        _, _, delta, guarded = _cv_drops(lam, qs)
+        q = q_l if guarded.all() else 1 + vote_from_delta(qs, delta)[2]
+        votes[q] = votes.get(q, 0) + 1
+    return dict(sorted(votes.items()))
+
+
 def estimate_q(X: np.ndarray, seed: int, replicates: int = 1) -> LatDimSummary:
     """Two-stage latent dimension estimate on a centered matrix.
 
-    Ties in every argmax go to the smallest index. All randomness comes from
-    ``seed``, so identical inputs reproduce identical summaries.
+    The full-data CV estimate stands unless more than half of the
+    ``BOOT_REPS`` bootstrap resamples agree on another value. Ties in every
+    argmax go to the smallest index. All randomness comes from ``seed``, so
+    identical inputs reproduce identical summaries.
     """
     X = np.asarray(X, dtype=float)
     p = X.shape[0]
@@ -161,31 +216,23 @@ def estimate_q(X: np.ndarray, seed: int, replicates: int = 1) -> LatDimSummary:
         return LatDimSummary(
             q_l=q_l, lam=lam, lam_b=lam_b, qs=qs, e_bar=np.zeros(0),
             var_e=np.zeros(0), delta=np.zeros(0), f_of_r=np.zeros(0, int),
-            g_counts={}, q_hat=max(q_l, 1), rng_seed=seed, scan_empty=True)
+            g_counts={}, q_hat=max(q_l, 1), boot_votes={}, rng_seed=seed,
+            scan_empty=True)
 
-    prof = {q: cv_profile(lam, q) for q in range(scan_lo, p - 2)}
-    e_bar = np.array([prof[q][0] for q in qs])
-    var_e = np.array([prof[q][1] for q in qs])
-
-    delta = np.empty(qs.size)
-    guarded = np.zeros(qs.size, dtype=bool)
-    for i, q in enumerate(qs):
-        num = prof[q][0] - prof[q + 1][0]
-        den = prof[q][1] + prof[q + 1][1]
-        if den < VAR_GUARD:
-            delta[i] = 0.0
-            guarded[i] = True
-        else:
-            delta[i] = num / np.sqrt(den)
-
+    e_bar, var_e, delta, guarded = _cv_drops(lam, qs)
     if bool(guarded.all()):
         return LatDimSummary(
             q_l=q_l, lam=lam, lam_b=lam_b, qs=qs, e_bar=e_bar, var_e=var_e,
             delta=delta, f_of_r=qs.copy(), g_counts={}, q_hat=q_l,
-            rng_seed=seed, degenerate=True)
+            boot_votes={}, rng_seed=seed, degenerate=True)
 
     f_of_r, g_counts, y_star = vote_from_delta(qs, delta)
+    q_hat = 1 + y_star
+    votes = _bootstrap_votes(X, qs, q_l, seed)
+    top = max(votes, key=votes.get)
+    if votes[top] > BOOT_REPS // 2:
+        q_hat = top
     return LatDimSummary(
         q_l=q_l, lam=lam, lam_b=lam_b, qs=qs, e_bar=e_bar, var_e=var_e,
-        delta=delta, f_of_r=f_of_r, g_counts=g_counts, q_hat=1 + y_star,
-        rng_seed=seed)
+        delta=delta, f_of_r=f_of_r, g_counts=g_counts, q_hat=q_hat,
+        boot_votes=votes, rng_seed=seed)

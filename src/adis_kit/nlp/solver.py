@@ -12,19 +12,20 @@ Inequalities are converted to equalities with nonnegative slacks up front, so
 the inner problem is always bound-constrained.
 
 Every inner iteration appends one diagnostics record; the final record is
-stamped with penalty-free KKT residuals.
+stamped with penalty-free KKT residuals. A solve that takes no iteration
+records its start point, so every trace ends in a stamped record.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .problem import NlpProblem, add_slacks, kkt_residual, project_box
-from .quasi_newton import DenseQuasiNewton, make_quasi_newton
+from .quasi_newton import make_quasi_newton
 from .subproblem import cauchy_point, steihaug_cg, trust_region_update
 from .trace import SolveTrace, TraceRecord
 
@@ -56,9 +57,7 @@ class AugLagConfig:
     precondition: bool = False
     delta0: float = 1.0
     mu_floor: float = 1e-8
-    lambda0: Union[float, np.ndarray, None] = None
     b0_scale: Optional[float] = None
-    b0_matrix: Optional[np.ndarray] = None   # seeds a dense quasi-Newton state
 
     def validate(self) -> None:
         if self.mu0 <= 0:
@@ -248,11 +247,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
         raise ValueError("x0 must be finite")
     x = project_box(z, prob.lower, prob.upper)
 
-    m = prob.n_eq
-    if cfg.lambda0 is None:
-        lam = np.zeros(m)
-    else:
-        lam = np.broadcast_to(np.asarray(cfg.lambda0, dtype=float), (m,)).copy()
+    lam = np.zeros(prob.n_eq)
 
     mu = cfg.mu0
     eta_con = mu ** -0.1
@@ -261,15 +256,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     _, g0 = prob.eval_objective(x)
     gamma = cfg.b0_scale if cfg.b0_scale is not None else max(
         1.0, float(np.max(np.abs(g0))) if g0.size else 1.0)
-    if cfg.b0_matrix is not None:
-        B0 = np.asarray(cfg.b0_matrix, dtype=float)
-        if B0.shape != (prob.dim, prob.dim):
-            raise ValueError(f"b0_matrix has shape {B0.shape}, expected "
-                             f"({prob.dim}, {prob.dim})")
-        base = "sr1" if "sr1" in cfg.qn_kind.lower() else "bfgs"
-        qn = DenseQuasiNewton.from_matrix(B0, kind=base)
-    else:
-        qn = make_quasi_newton(cfg.qn_kind, prob.dim, gamma, cfg.lm_memory)
+    qn = make_quasi_newton(cfg.qn_kind, prob.dim, gamma, cfg.lm_memory)
 
     trace = SolveTrace()
     status = SolveStatus.MAX_ITERATIONS
@@ -330,6 +317,18 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             mu = cfg.theta_h * mu
             eta_con = mu ** -0.1
             eta_grad = 1.0 / mu
+
+    if not trace.records:
+        # the start point met the tolerances (or no step was ever taken):
+        # one zero-iteration record carries the final KKT stamp
+        L, grad, raw = make_aug_lag_model(prob, lam, mu)(x)
+        trace.append(TraceRecord(
+            outer=outer_done - 1, inner=0, f=raw.f, lagrangian=L,
+            pg_norm=projected_gradient_norm(x, grad, prob.lower, prob.upper),
+            c_norm=raw.c_norm,
+            lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
+            mu=mu, delta=cfg.delta0, rho=None, accepted=True,
+            qn_skipped=False, eta_con=eta_con, eta_grad=eta_grad))
 
     # independent of the loop's own bookkeeping
     kkt_grad_final, kkt_con_final = kkt_residual(prob, x, lam)

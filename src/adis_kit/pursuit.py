@@ -4,25 +4,24 @@ Stage 0 scatters random unit vectors over the feasible manifold and keeps the
 best-scoring few as seeds. Stage 1 extracts one direction at a time in
 deflated coordinates (an orthonormal basis of the complement of the earlier
 directions), so orthogonality is structural and each solve carries a single
-unit-norm constraint. Stage 2 re-optimizes all directions jointly under one
-scalar constraint collecting every orthonormality defect, starting from the
-Stage 1 solution and falling back to it if no improvement is found.
+unit-norm constraint. Stage 2 re-optimizes all directions jointly by rotating
+the Stage 1 solution, ``Q = C(K) @ Q_stage1`` with C the Cayley transform of
+a skew-symmetric K, in one unconstrained solve over K; it falls back to the
+Stage 1 solution, explicitly, if that solve fails or loses objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .contrast import ContrastFn, LogCoshNegentropy, ProblemFactory, compose
+from .contrast import (ContrastFn, LogCoshNegentropy, ProblemFactory,
+                       cayley_rotation, compose)
 from .latdim import LatDimSummary, estimate_q
-from .nlp import AugLagConfig, NlpSolution, SolveStatus, SolveTrace, solve
+from .nlp import AugLagConfig, SolveTrace, solve
 from .whiten import DataMatrix, PpcaModel, SourceStats, center, fit_ppca, source_stats
-
-JOINT_LAMBDA0 = -1e6
-JOINT_ETA_CON = 1e-12
 
 
 class PursuitError(RuntimeError):
@@ -121,27 +120,32 @@ def seed_search(contrast: ContrastFn, w_basis: np.ndarray,
 
 
 def _closed_form_last_component(factory: ProblemFactory, w_basis: np.ndarray,
-                                x_tilde: np.ndarray
-                                ) -> Tuple[np.ndarray, float, SolveTrace, NlpSolution]:
-    """One-dimensional manifold: the direction is +-basis, pick the better."""
+                                x_tilde: np.ndarray, eta_con_star: float
+                                ) -> Tuple[np.ndarray, float, SolveTrace]:
+    """One-dimensional manifold: the direction is +-basis, pick the better.
+
+    No freedom is left to meet user constraints, so the trace carries their
+    true residual at the chosen direction and reads ``infeasible`` when it
+    exceeds ``eta_con_star``.
+    """
     from .nlp.trace import TraceRecord
 
     w = w_basis[:, 0]
     best_sign = 1.0
-    best_val, _ = factory._score(w, x_tilde)
-    val_neg, _ = factory._score(-w, x_tilde)
+    best_val, _ = factory.score(w, x_tilde)
+    val_neg, _ = factory.score(-w, x_tilde)
     if val_neg > best_val:
         best_sign, best_val = -1.0, val_neg
+    w = best_sign * w
+    con = factory.constraints.violation(w, x_tilde)
+    status = "converged" if con <= eta_con_star else "infeasible"
     trace = SolveTrace()
     trace.append(TraceRecord(outer=0, inner=1, f=-best_val,
-                             lagrangian=-best_val, pg_norm=0.0, c_norm=0.0,
+                             lagrangian=-best_val, pg_norm=0.0, c_norm=con,
                              lam_norm=0.0, mu=0.0, delta=0.0, rho=None,
                              accepted=True, qn_skipped=False,
-                             status="converged", kkt_grad=0.0, kkt_con=0.0))
-    sol = NlpSolution(x=np.array([best_sign]), lam=np.zeros(1), f=-best_val,
-                      status=SolveStatus.CONVERGED, trace=trace, kkt_grad=0.0,
-                      kkt_con=0.0, n_inner=1, n_outer=1)
-    return best_sign * w, best_val, trace, sol
+                             status=status, kkt_grad=0.0, kkt_con=con))
+    return w, best_val, trace
 
 
 def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
@@ -160,8 +164,8 @@ def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
     r = W.shape[1]
 
     if r == 1:
-        w, value, trace, _ = _closed_form_last_component(factory, W, X)
-        return w, value, trace
+        return _closed_form_last_component(factory, W, X,
+                                           config.solver.eta_con_star)
 
     seeds, _ = seed_search(factory.contrast, W, X, config.n_seeds,
                            config.retained, rng)
@@ -173,7 +177,7 @@ def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
         if sol.converged:
             z = sol.x / np.linalg.norm(sol.x)   # polish onto the sphere
             w = W @ z
-            value, _ = factory._score(w, X)
+            value, _ = factory.score(w, X)
             winners.append((value, w, sol.trace))
     if not winners:
         raise PursuitError(f"component {k}",
@@ -183,91 +187,35 @@ def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
     return w, value, trace
 
 
-def _orthonormality_wall(Q: np.ndarray, weight: float) -> np.ndarray:
-    """Hessian of weight * sum of squared orthonormality defects at Q.
-
-    At a feasible point the defect terms vanish, leaving the exactly known
-    rank-q(q+1)/2 outer-product part; this is the stiff block of the merit
-    Hessian that a scaled-identity start would force the quasi-Newton state
-    to relearn one direction at a time.
-    """
-    q = Q.shape[0]
-    rows = []
-    for i in range(q):
-        for j in range(i, q):
-            g = np.zeros((q, q))
-            if i == j:
-                g[i] = 2.0 * Q[i]
-            else:
-                g[i] = Q[j]
-                g[j] = Q[i]
-            rows.append(g.ravel())
-    D = np.array(rows)
-    return 2.0 * weight * (D.T @ D)
-
-
-def _nearest_orthonormal(Q: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(Q)
-    return U @ Vt
-
-
 def refine_joint(Q_init: np.ndarray, x_tilde: np.ndarray,
                  factory: ProblemFactory, config: PursuitConfig
                  ) -> Tuple[np.ndarray, Optional[SolveTrace], bool]:
     """Joint re-optimization of all directions from the Stage 1 solution.
 
-    The orthonormality defect enters as a single scalar sum of squares, whose
-    gradient vanishes on the feasible set. That shape makes one solve do two
-    incompatible jobs: near the manifold the merit surface is quartic (soft),
-    so certifying per-entry orthonormality needs a large multiplier, while a
-    large multiplier turns the manifold into a stiff canyon that blocks any
-    real movement between joint optima. The refinement therefore runs two
-    solves: a travel phase with zero initial multipliers and default
-    tolerances (the penalty ratchet builds up on its own), then, from the
-    nearest orthonormal matrix to the travel endpoint, a certification phase
-    with a warm negative multiplier, the quasi-Newton state seeded with the
-    known constraint-wall Hessian, and the constraint tolerance tightened so
-    the scalar bound implies per-entry orthonormality of 1e-6. A travel
-    endpoint that did not actually improve the objective is discarded, which
-    keeps an input already at a joint optimum fixed.
+    The directions move on the rotation group, ``Q = C(K) @ Q_init`` with C
+    the Cayley transform of a skew-symmetric K, in one unconstrained solve
+    over the q(q-1)/2 entries of K from K = 0. Orthonormality is structural,
+    so no penalty or multiplier has to enforce it. Cayley reaches every
+    rotation of ``Q_init`` that has no eigenvalue -1, which leaves out only
+    rotations by exactly pi in some plane.
 
-    Falls back to the input when the certification fails or loses objective
-    value; returns ``(Q, trace, fell_back)`` with the certification trace.
+    Falls back to the input when the solve does not converge or loses
+    objective value; returns ``(Q, trace, fell_back)`` with the trace of the
+    joint solve.
     """
     X = np.asarray(x_tilde, dtype=float)
-    q = X.shape[0]
     Q_init = np.asarray(Q_init, dtype=float)
-    problem = factory.joint_problem(X, q)
-
-    def joint_value(Q):
-        return sum(factory._score(Q[k], X)[0] for k in range(q))
-
-    value_init = joint_value(Q_init)
-
-    travel = solve(problem, x0=Q_init.ravel(),
-                   config=replace(config.solver, lambda0=None, b0_matrix=None))
-    Q_start = Q_init
-    if travel.converged:
-        candidate = _nearest_orthonormal(travel.x.reshape(q, q))
-        if joint_value(candidate) > value_init + 1e-10:
-            Q_start = candidate
-
-    n_eq = problem.n_eq
-    lambda0 = np.zeros(n_eq)
-    lambda0[0] = JOINT_LAMBDA0
-    certify_cfg = replace(
-        config.solver,
-        lambda0=lambda0,
-        eta_con_star=min(JOINT_ETA_CON, config.solver.eta_con_star),
-        b0_matrix=np.eye(q * q) + _orthonormality_wall(Q_start,
-                                                       abs(JOINT_LAMBDA0)),
-        delta0=min(config.solver.delta0, 1e-2),
-    )
-    sol = solve(problem, x0=Q_start.ravel(), config=certify_cfg)
+    q = Q_init.shape[0]
+    problem = factory.joint_problem(X, Q_init)
+    sol = solve(problem, x0=np.zeros(problem.dim), config=config.solver)
     if not sol.converged:
         return Q_init, sol.trace, True
-    Q_new = sol.x.reshape(q, q)
-    if joint_value(Q_new) < value_init - 1e-8:
+
+    def joint_value(Q):
+        return sum(factory.score(Q[k], X)[0] for k in range(q))
+
+    Q_new, _ = cayley_rotation(sol.x, Q_init)
+    if joint_value(Q_new) < joint_value(Q_init) - 1e-8:
         return Q_init, sol.trace, True
     return Q_new, sol.trace, False
 
@@ -312,7 +260,7 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     Q = Q1
     if config.run_stage2 and q >= 2:
         Q, joint_trace, fallback = refine_joint(Q1, X, factory, config)
-    stage2 = np.array([factory._score(Q[k], X)[0] for k in range(q)])
+    stage2 = np.array([factory.score(Q[k], X)[0] for k in range(q)])
 
     S = Q @ X
     signs = _fix_signs(Q, S)

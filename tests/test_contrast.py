@@ -4,6 +4,7 @@ import pytest
 from adis_kit.contrast import (
     ConstraintSet,
     LogCoshNegentropy,
+    cayley_rotation,
     compose,
     g_logcosh,
     gauss_expectation,
@@ -11,6 +12,18 @@ from adis_kit.contrast import (
     negentropy,
 )
 from adis_kit.nlp import AugLagConfig, check_gradients, solve
+
+
+def mean_abs(t_target):
+    """User equality: the mean absolute projection pinned to ``t_target``."""
+
+    def constraint(w, Xd):
+        z = w @ Xd
+        val = np.abs(z).mean() - t_target
+        grad = (np.sign(z) @ Xd.T) / Xd.shape[1]
+        return np.array([val]), grad[None, :]
+
+    return constraint
 
 
 class TestGLogcosh:
@@ -162,25 +175,28 @@ class TestCompose:
         check_gradients(problem, rng.standard_normal(2))
 
     def test_joint_problem_passes_gradient_audit(self):
+        # the rotation problem at a random skew point, away from K = 0
         factory = compose(LogCoshNegentropy())
-        problem = factory.joint_problem(self.X, 3)
         rng = np.random.default_rng(7)
-        check_gradients(problem, rng.standard_normal(9) * 0.5)
+        Q_start = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        problem = factory.joint_problem(self.X, Q_start)
+        assert problem.dim == 3 and problem.n_eq == 0
+        check_gradients(problem, rng.standard_normal(3))
+
+    def test_cayley_rotation_is_orthogonal_and_identity_at_zero(self):
+        rng = np.random.default_rng(9)
+        Q_start = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        Q0, _ = cayley_rotation(np.zeros(6), Q_start)
+        np.testing.assert_array_equal(Q0, Q_start)
+        Q, _ = cayley_rotation(3.0 * rng.standard_normal(6), Q_start)
+        assert np.max(np.abs(Q @ Q.T - np.eye(4))) <= 1e-12
 
     def test_user_equality_driven_to_tolerance(self):
         # one extra equality: mean absolute projection pinned to a level
         # reachable on the unit sphere
         X = self.X
-        t_target = 0.75
-
-        def mean_abs(w, Xd):
-            z = w @ Xd
-            val = np.abs(z).mean() - t_target
-            grad = (np.sign(z) @ Xd.T) / Xd.shape[1]
-            return np.array([val]), grad[None, :]
-
         factory = compose(LogCoshNegentropy(),
-                          constraints=ConstraintSet(eq=[(mean_abs, 1)]))
+                          constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
         problem = factory.component_problem(np.eye(3)[:, :3], X)
         sol = solve(problem, x0=np.array([1.0, 0.0, 0.0]),
                     config=AugLagConfig())

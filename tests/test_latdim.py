@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adis_kit.latdim import (
+    BOOT_REPS,
     cv_profile,
     estimate_q,
     permute_columns,
@@ -156,9 +157,26 @@ class TestEstimateQ:
         import json
         doc = json.loads(s.to_json())
         assert doc["q_hat"] == s.q_hat
+        assert doc["boot_votes"] == {str(k): v for k, v in s.boot_votes.items()}
         lines = s.profile_csv().splitlines()
         assert lines[0] == "q,e_bar,var_e,delta"
         assert len(lines) == s.qs.size + 1
+
+    @pytest.mark.parametrize("seed,op", [(0, 30), (2, 8), (8, 22)])
+    def test_bootstrap_vote_overrules_saturated_drop(self, seed, op):
+        # noisy p=12 draws (5 uniform sources, sigma 0.5, n=20000) on which
+        # the full-data CV vote misses q=5 (7, 7 and 2): a noise step with a
+        # short tail outscores the genuine step on this spectrum only
+        ss = np.random.SeedSequence(seed, spawn_key=(op,))
+        data_seed, dec_seed = (int(v) for v in ss.generate_state(2))
+        X = model_dataset(12, 5, 20000, 0.5, family="uniform", seed=data_seed)
+        centered, _ = center(DataMatrix(X))
+        s = estimate_q(centered.values, seed=dec_seed)
+        top = max(s.g_counts.values())
+        assert 1 + min(y for y, c in s.g_counts.items() if c == top) != 5
+        assert s.boot_votes.get(5, 0) > BOOT_REPS // 2
+        assert sum(s.boot_votes.values()) == BOOT_REPS
+        assert s.q_hat == 5
 
 
 class TestVote:

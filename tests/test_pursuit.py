@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from adis_kit.bench import MixingSpec, gen_mixing, sir, sparse_bells, synth5
-from adis_kit.contrast import LogCoshNegentropy, compose, negentropy
+from adis_kit.contrast import ConstraintSet, LogCoshNegentropy, compose, negentropy
+from adis_kit.nlp import SolveTrace, check_gradients
 from adis_kit.pursuit import (
     PursuitConfig,
     PursuitError,
@@ -14,6 +15,7 @@ from adis_kit.pursuit import (
     seed_search,
 )
 from adis_kit.whiten import DataMatrix, fit_ppca
+from test_contrast import mean_abs
 
 
 def whitened_mixture(S, mix_seed):
@@ -97,6 +99,23 @@ class TestExtractComponent:
         v_flip, _ = negentropy(-w3, laplace_xt)
         assert value >= v_flip - 1e-15
 
+    def test_last_component_reports_user_constraint_violation(self,
+                                                              laplace_xt):
+        # the last direction is fixed up to sign, so a user equality cannot
+        # be met there; its trace must say so
+        constrained = compose(LogCoshNegentropy(),
+                              constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
+        cfg = PursuitConfig(n_seeds=100, rng_seed=3, run_stage2=False)
+        res = run_stages(laplace_xt, constrained, cfg)
+        for w, trace in zip(res.Q_stage1[:2], res.component_traces[:2]):
+            assert trace.final.status == "converged"
+            assert abs(mean_abs(0.75)(w, laplace_xt)[0][0]) <= 1e-6
+        c, _ = mean_abs(0.75)(res.Q_stage1[2], laplace_xt)
+        final = res.component_traces[2].final
+        assert abs(c[0]) > cfg.solver.eta_con_star
+        assert final.kkt_con == abs(c[0])
+        assert final.status == "infeasible"
+
     def test_two_source_direction_matches_circle_grid_oracle(self, factory):
         rng = np.random.default_rng(6)
         S = np.vstack([rng.laplace(size=4000),
@@ -176,12 +195,36 @@ class TestRefineJoint:
         assert not fallback
         assert np.max(np.abs(Q2 - res.Q)) <= 1e-6
 
-    def test_constraint_value_at_solution(self, factory, laplace_xt):
+    def test_output_orthonormal_per_entry(self, factory, laplace_xt):
         cfg = PursuitConfig(n_seeds=100, rng_seed=8)
         res = run_stages(laplace_xt, factory, cfg)
-        problem = factory.joint_problem(laplace_xt, 3)
-        c, _ = problem.eval_eq(res.Q.ravel())
-        assert abs(c[0]) <= 1e-6
+        assert not res.joint_fallback
+        assert np.max(np.abs(res.Q @ res.Q.T - np.eye(3))) <= 1e-12
+
+    def test_joint_trace_certifies_returned_q(self, factory, laplace_xt):
+        cfg = PursuitConfig(n_seeds=100, rng_seed=8)
+        res = run_stages(laplace_xt, factory, cfg)
+        final = res.joint_trace.final
+        assert final.status == "converged"
+        assert final.kkt_grad <= 1e-6
+        total = res.stage2_objectives.sum()
+        assert abs(final.f + total) <= 1e-12 * abs(total)
+        back = SolveTrace.from_jsonl(res.joint_trace.to_jsonl())
+        assert back.records == res.joint_trace.records
+
+    def test_user_equality_holds_on_every_row(self, laplace_xt):
+        constrained = compose(LogCoshNegentropy(),
+                              constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
+        cfg = PursuitConfig(n_seeds=100, rng_seed=3)
+        res = run_stages(laplace_xt, constrained, cfg)
+        assert not res.joint_fallback
+        assert res.joint_trace.final.status == "converged"
+        for w in res.Q:
+            c, _ = mean_abs(0.75)(w, laplace_xt)
+            assert abs(c[0]) <= 1e-6
+        problem = constrained.joint_problem(laplace_xt, res.Q_stage1)
+        assert problem.n_eq == 3
+        check_gradients(problem, np.random.default_rng(9).standard_normal(3))
 
     def test_sparse_bells_joint_stage_improves_mean_sir(self, factory):
         # deflation error accumulates on sparse bell sources; the joint stage

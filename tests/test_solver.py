@@ -203,6 +203,16 @@ class TestOuterSolve:
         assert rt.records == sol.trace.records
         assert sol.trace.to_csv().count("\n") == len(sol.trace) + 1
 
+    def test_start_at_optimum_is_certified(self):
+        # no iteration runs, yet the trace still ends in a stamped record
+        p = NlpProblem(dim=2, objective=lambda x: (float(x @ x), 2 * x))
+        sol = solve(p, x0=np.zeros(2))
+        assert sol.converged and sol.n_inner == 0
+        assert len(sol.trace) == 1
+        final = sol.trace.final
+        assert final.inner == 0 and final.status == "converged"
+        assert final.kkt_grad == 0.0 and final.kkt_con == 0.0
+
     def test_max_iterations_status(self):
         p = NlpProblem(
             dim=2,
