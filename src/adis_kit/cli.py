@@ -153,7 +153,7 @@ def cmd_decompose(args) -> int:
 
     outdir = Path(doc.get("output") or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         result, model, stats = decompose(data, q=doc.get("q"), config=cfg,
                                          contrast=contrast)
@@ -163,7 +163,7 @@ def cmd_decompose(args) -> int:
             tr.save(outdir / f"trace-failed-{i + 1}.jsonl")
         print(f"partial traces written to {outdir}", file=sys.stderr)
         return 3
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     q = result.Q.shape[0]
     save_matrix_csv(outdir / "Q.csv", result.Q)
@@ -215,7 +215,7 @@ def cmd_latdim(args) -> int:
 
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     centered, _ = center(data)
     summary = estimate_q(centered.values, seed=args.seed)
     with open(outdir / "latdim.json", "w") as fh:
@@ -226,7 +226,7 @@ def cmd_latdim(args) -> int:
                    {"input": args.input, "seed": args.seed,
                     "output": str(outdir)},
                    {"q_hat": summary.q_hat, "q_l": summary.q_l},
-                   {"latdim_seconds": time.time() - t0})
+                   {"latdim_seconds": time.perf_counter() - t0})
     print(summary.q_hat)
     return 0
 
@@ -291,7 +291,7 @@ def cmd_bench_sir_mc(args) -> int:
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = PursuitConfig()
-    t0 = time.time()
+    t0 = time.perf_counter()
     agg, details = monte_carlo_bss(S, family, n_b=args.nb, config=cfg,
                                    master_seed=args.seed,
                                    threads=args.threads or _default_threads())
@@ -303,7 +303,7 @@ def cmd_bench_sir_mc(args) -> int:
                    {"sources": args.sources, "nb": args.nb, "seed": args.seed,
                     "family": family.value, "n": args.n},
                    {"M": agg.M, "S": agg.S, "n_failed": agg.n_failed},
-                   {"mc_seconds": time.time() - t0})
+                   {"mc_seconds": time.perf_counter() - t0})
     print(f"sir-mc: M={agg.M:.4f} dB S={agg.S:.4f} dB over "
           f"{agg.run_means.size} runs ({agg.n_failed} failed)")
     return 0 if agg.n_failed == 0 else 3
@@ -345,7 +345,7 @@ def cmd_bench_latdim_grid(args) -> int:
                      families=tuple(args.families.split(",")))
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     cells = latdim_validation(cfg, threads=args.threads or _default_threads())
     with open(outdir / "latdim-grid.csv", "w") as fh:
         fh.write(grid_csv(cells))
@@ -356,7 +356,7 @@ def cmd_bench_latdim_grid(args) -> int:
                     "ratios": list(cfg.ratios), "q_fracs": list(cfg.q_fracs),
                     "families": list(cfg.families)},
                    {"worst_abs_bias": max(abs(c.mean_bias) for c in cells)},
-                   {"grid_seconds": time.time() - t0})
+                   {"grid_seconds": time.perf_counter() - t0})
     worst = max(abs(c.mean_bias) for c in cells)
     print(f"latdim-grid: {len(cells)} cells, worst |mean bias| = {worst:.3f}")
     return 0

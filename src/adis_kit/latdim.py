@@ -85,23 +85,17 @@ def _spectrum(X: np.ndarray) -> np.ndarray:
     return vals[::-1]
 
 
-def permute_lower_bound(X: np.ndarray, seed: int, replicates: int = 1
+def permute_lower_bound(X: np.ndarray, seed: int
                         ) -> Tuple[int, np.ndarray, np.ndarray]:
     """Lower bound on the latent dimension from a column permutation.
 
     Returns ``(q_l, lam, lam_b)`` with both spectra sorted non-increasing and
     ``q_l`` the largest 1-based rank where the observed eigenvalue exceeds
-    the permuted one (0 if none). ``replicates > 1`` averages the permuted
-    spectrum over that many draws.
+    the permuted one (0 if none).
     """
     X = np.asarray(X, dtype=float)
     lam = _spectrum(X)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    acc = np.zeros_like(lam)
-    for r in range(replicates):
-        acc += _spectrum(permute_columns(X, seed + r))
-    lam_b = acc / replicates
+    lam_b = _spectrum(permute_columns(X, seed))
     tol = EXCEED_RTOL * max(abs(lam[0]), abs(lam_b[0]), 1e-300)
     exceed = np.nonzero(lam > lam_b + tol)[0]
     q_l = int(exceed[-1]) + 1 if exceed.size else 0
@@ -194,7 +188,7 @@ def _bootstrap_votes(X: np.ndarray, qs: np.ndarray, q_l: int, seed: int
     return dict(sorted(votes.items()))
 
 
-def estimate_q(X: np.ndarray, seed: int, replicates: int = 1) -> LatDimSummary:
+def estimate_q(X: np.ndarray, seed: int) -> LatDimSummary:
     """Two-stage latent dimension estimate on a centered matrix.
 
     The full-data CV estimate stands unless more than half of the
@@ -204,7 +198,7 @@ def estimate_q(X: np.ndarray, seed: int, replicates: int = 1) -> LatDimSummary:
     """
     X = np.asarray(X, dtype=float)
     p = X.shape[0]
-    q_l, lam, lam_b = permute_lower_bound(X, seed, replicates=replicates)
+    q_l, lam, lam_b = permute_lower_bound(X, seed)
 
     # The drop statistic peaks at q_true - 1, which a scan starting exactly at
     # the lower bound would miss whenever the bound is tight (q_l = q_true),

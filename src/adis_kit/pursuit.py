@@ -98,9 +98,9 @@ def seed_search(contrast: ContrastFn, w_basis: np.ndarray,
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Score random unit vectors in reduced coordinates, keep the best.
 
-    Draws uniform entries on (-1, 1), normalizes each draw, evaluates the
-    contrast at the lifted direction and returns the ``retained`` reduced
-    vectors with the highest scores (ties keep the lower draw index).
+    Draws uniform entries on (-1, 1), normalizes each draw, scores the
+    lifted directions with ``contrast.scores`` and returns the ``retained``
+    reduced vectors with the highest scores (ties keep the lower draw index).
     Returns ``(seeds, scores)`` with seeds as rows.
     """
     W = np.asarray(w_basis, dtype=float)
@@ -114,7 +114,7 @@ def seed_search(contrast: ContrastFn, w_basis: np.ndarray,
         Z[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), r))
         norms = np.linalg.norm(Z, axis=1)
     Z /= norms[:, None]
-    scores = np.array([contrast.evaluate(W @ z, X)[0] for z in Z])
+    scores = contrast.scores(Z @ W.T, X)
     order = np.argsort(-scores, kind="stable")[:retained]
     return Z[order], scores[order]
 
@@ -265,7 +265,6 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     S = Q @ X
     signs = _fix_signs(Q, S)
     Q = signs[:, None] * Q
-    Q1 = Q1.copy()
     S = Q @ X
 
     return PursuitResult(

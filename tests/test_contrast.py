@@ -3,6 +3,7 @@ import pytest
 
 from adis_kit.contrast import (
     ConstraintSet,
+    ContrastFn,
     LogCoshNegentropy,
     cayley_rotation,
     compose,
@@ -131,6 +132,42 @@ class TestNegentropy:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             negentropy(np.ones(2), np.ones((2, 1)))
+
+
+class TestScores:
+    @staticmethod
+    def directions(m, seed):
+        rng = np.random.default_rng(seed)
+        D = rng.uniform(-1.0, 1.0, size=(m, 5))
+        return D / np.linalg.norm(D, axis=1)[:, None]
+
+    @pytest.mark.parametrize("n", [600, 2000, 20000])
+    @pytest.mark.parametrize("m", [1, 7, 1001])
+    def test_matches_evaluate(self, n, m):
+        # blocks of SCORE_BLOCK_ELEMENTS // n rows end mid-matrix here
+        X = np.random.default_rng(n).laplace(size=(5, n))
+        D = self.directions(m, seed=m)
+        c = LogCoshNegentropy()
+        ref = np.array([c.evaluate(d, X)[0] for d in D])
+        np.testing.assert_allclose(c.scores(D, X), ref, rtol=1e-12, atol=0)
+
+    def test_default_loops_over_evaluate(self):
+        class Cubic(ContrastFn):
+            name = "cubic"
+
+            def evaluate(self, w, x_tilde):
+                z = w @ x_tilde
+                return float(np.mean(z ** 3)), np.zeros_like(w)
+
+        X = np.random.default_rng(1).laplace(size=(5, 300))
+        D = self.directions(7, seed=2)
+        c = Cubic()
+        ref = np.array([c.evaluate(d, X)[0] for d in D])
+        np.testing.assert_array_equal(c.scores(D, X), ref)
+
+    def test_rejects_single_sample(self):
+        with pytest.raises(ValueError):
+            LogCoshNegentropy().scores(np.ones((2, 2)), np.ones((2, 1)))
 
 
 class TestRegistry:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,32 @@ class TestSeedSearch:
                              np.random.default_rng(9))
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(v1, v2)
+
+    @staticmethod
+    def per_seed_reference(contrast, W, X, n_seeds, retained, rng):
+        """Stage 0 with one ``evaluate`` call per draw."""
+        Z = rng.uniform(-1.0, 1.0, size=(n_seeds, W.shape[1]))
+        norms = np.linalg.norm(Z, axis=1)
+        while np.any(norms == 0.0):
+            bad = norms == 0.0
+            Z[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), W.shape[1]))
+            norms = np.linalg.norm(Z, axis=1)
+        Z /= norms[:, None]
+        scores = np.array([contrast.evaluate(W @ z, X)[0] for z in Z])
+        order = np.argsort(-scores, kind="stable")[:retained]
+        return Z[order], scores[order]
+
+    def test_batched_scores_keep_per_seed_ranking(self, factory, laplace_xt):
+        S = np.random.default_rng(7).laplace(size=(5, 20000))
+        cases = [(laplace_xt, orthonormal_complement(np.eye(3)[:1], 3)),
+                 (whitened_mixture(S, mix_seed=3), np.eye(5))]
+        for (X, W), retained in itertools.product(cases, (2, 10)):
+            got = seed_search(factory.contrast, W, X, 1000, retained,
+                              np.random.default_rng(11))
+            ref = self.per_seed_reference(factory.contrast, W, X, 1000,
+                                          retained, np.random.default_rng(11))
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_allclose(got[1], ref[1], rtol=1e-12, atol=0)
 
 
 class TestExtractComponent:
