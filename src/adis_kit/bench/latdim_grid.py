@@ -9,7 +9,6 @@ to sigma_min(A) = 1, so the noise level is 1/ratio.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -67,24 +66,15 @@ def _run_cell(cfg: GridConfig, fi: int, ri: int, qi: int) -> GridCell:
                     std_bias=float(bias.std()), estimates=estimates)
 
 
-def latdim_validation(config: Optional[GridConfig] = None,
-                      threads: int = 1) -> List[GridCell]:
-    """Run every cell of the grid; cells are seeded independently so the
-    result is identical for any thread count."""
+def latdim_validation(config: Optional[GridConfig] = None) -> List[GridCell]:
+    """Run every cell of the grid, ordered by family, ratio and latent
+    fraction. Each repetition is seeded from its cell indices and repetition
+    index, so repetition ``r`` of a cell is the same for any ``reps > r``."""
     cfg = config or GridConfig()
-    tasks = [(fi, ri, qi)
+    cells = [_run_cell(cfg, fi, ri, qi)
              for fi in range(len(cfg.families))
              for ri in range(len(cfg.ratios))
              for qi in range(len(cfg.q_fracs))]
-
-    def work(t):
-        return _run_cell(cfg, *t)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(work, tasks))
-    else:
-        cells = [work(t) for t in tasks]
     cells.sort(key=lambda c: (cfg.families.index(c.family), c.ratio, c.q_over_p))
     return cells
 

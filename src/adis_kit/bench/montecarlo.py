@@ -4,13 +4,12 @@ The baseline protocol is square noiseless mixing with the latent dimension
 known. The channel-centering projection would destroy one direction of a
 square mixture, so runs here use sample-mean centering only. Per-run seeds
 derive from the master seed as SeedSequence(master, spawn_key=(run,)); child
-0 seeds the mixing matrix, child 1 the decomposition, which keeps results
-independent of execution order and thread count.
+0 seeds the mixing matrix, child 1 the decomposition, so each run's result
+depends only on the master seed and its run index.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -60,13 +59,12 @@ def _single_run(run: int, sources: np.ndarray, family: MixingFamily,
 
 def monte_carlo_bss(sources: np.ndarray, family: MixingFamily | str,
                     n_b: int, config: Optional[PursuitConfig] = None,
-                    master_seed: int = 0, threads: int = 1
+                    master_seed: int = 0
                     ) -> tuple[McSirReport, List[McRunDetail]]:
     """Mix the given sources ``n_b`` times and score each decomposition.
 
     Returns the aggregate report (failures excluded, counted) plus per-run
-    details. Aggregation is ordered by run index, so the result does not
-    depend on the thread count.
+    details in run order. Run ``r`` gives the same result for any ``n_b > r``.
     """
     sources = np.asarray(sources, dtype=float)
     q = sources.shape[0]
@@ -74,17 +72,8 @@ def monte_carlo_bss(sources: np.ndarray, family: MixingFamily | str,
         raise ValueError("sources are rank deficient")
     family = MixingFamily(family)
     cfg = config or PursuitConfig()
-
-    def work(run):
-        return _single_run(run, sources, family, cfg, master_seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            details = list(pool.map(work, range(n_b)))
-    else:
-        details = [work(run) for run in range(n_b)]
-
-    details.sort(key=lambda d: d.run)
+    details = [_single_run(run, sources, family, cfg, master_seed)
+               for run in range(n_b)]
     good = [d for d in details if d.report is not None]
     agg = McSirReport.from_runs(
         [d.report for d in good], n_failed=n_b - len(good),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -46,19 +45,11 @@ from .whiten import DataMatrix, center
 
 SOLVER_KEYS = {f.name for f in AugLagConfig.__dataclass_fields__.values()}
 PURSUIT_KEYS = {"n_seeds", "retained", "run_stage2", "rng_seed", "channel_center"}
-TOP_KEYS = {"input", "q", "seed", "output", "threads", "pursuit", "solver",
-            "contrast"}
+TOP_KEYS = {"input", "q", "seed", "output", "pursuit", "solver", "contrast"}
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _default_threads() -> int:
-    env = os.environ.get("ADIS_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def load_config_file(path: str) -> dict:
@@ -103,7 +94,6 @@ def effective_config(doc: dict, cfg: PursuitConfig) -> dict:
         "q": doc.get("q"),
         "seed": cfg.rng_seed,
         "output": doc.get("output"),
-        "threads": doc.get("threads"),
         "contrast": doc.get("contrast", "negentropy-logcosh"),
         "pursuit": {"n_seeds": cfg.n_seeds, "retained": cfg.retained,
                     "run_stage2": cfg.run_stage2,
@@ -136,7 +126,7 @@ def cmd_decompose(args) -> int:
     try:
         doc = load_config_file(args.config) if args.config else {}
         _merge_cli(doc, args, {"input": "input", "q": "q", "seed": "seed",
-                               "output": "output", "threads": "threads"})
+                               "output": "output"})
         if doc.get("seed") is None:
             doc["seed"] = 0
         if not doc.get("input"):
@@ -168,7 +158,7 @@ def cmd_decompose(args) -> int:
     q = result.Q.shape[0]
     save_matrix_csv(outdir / "Q.csv", result.Q)
     save_matrix_csv(outdir / "sources.csv", result.S_hat)
-    save_matrix_csv(outdir / "mixing.csv", result.A_full)
+    save_matrix_csv(outdir / "mixing.csv", model.mixing_for(result.Q))
     with open(outdir / "model.json", "w") as fh:
         fh.write(model.to_json() + "\n")
     if stats is not None:
@@ -293,8 +283,7 @@ def cmd_bench_sir_mc(args) -> int:
     cfg = PursuitConfig()
     t0 = time.perf_counter()
     agg, details = monte_carlo_bss(S, family, n_b=args.nb, config=cfg,
-                                   master_seed=args.seed,
-                                   threads=args.threads or _default_threads())
+                                   master_seed=args.seed)
     with open(outdir / "sir-runs.csv", "w") as fh:
         fh.write(agg.runs_csv())
     with open(outdir / "sir-summary.json", "w") as fh:
@@ -346,7 +335,7 @@ def cmd_bench_latdim_grid(args) -> int:
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    cells = latdim_validation(cfg, threads=args.threads or _default_threads())
+    cells = latdim_validation(cfg)
     with open(outdir / "latdim-grid.csv", "w") as fh:
         fh.write(grid_csv(cells))
     with open(outdir / "latdim-grid.json", "w") as fh:
@@ -390,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--seed", type=int, help="master seed (default 0)")
     p_dec.add_argument("--output", help="output directory")
     p_dec.add_argument("--config", help="JSON config or manifest file")
-    p_dec.add_argument("--threads", type=int)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_lat = sub.add_parser("latdim", help="estimate latent dimensionality")
@@ -429,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--family", default="uniform-random")
     p_mc.add_argument("--output")
-    p_mc.add_argument("--threads", type=int)
     p_mc.set_defaults(func=cmd_bench_sir_mc)
 
     p_score = bench_sub.add_parser(
@@ -448,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--qps", default="0.1,0.3,0.5")
     p_grid.add_argument("--families", default="gaussian,uniform,gamma")
     p_grid.add_argument("--output")
-    p_grid.add_argument("--threads", type=int)
     p_grid.set_defaults(func=cmd_bench_latdim_grid)
 
     p_gen = sub.add_parser("gen", help="fixture generators")

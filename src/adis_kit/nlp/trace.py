@@ -103,7 +103,6 @@ class SolveTrace:
             writer.writerow(asdict(r))
         return buf.getvalue()
 
-    def save(self, path, fmt: str = "jsonl") -> None:
-        text = self.to_jsonl() if fmt == "jsonl" else self.to_csv()
+    def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(self.to_jsonl())

@@ -20,7 +20,7 @@ import numpy as np
 from .contrast import (ContrastFn, LogCoshNegentropy, ProblemFactory,
                        cayley_rotation, compose)
 from .latdim import LatDimSummary, estimate_q
-from .nlp import AugLagConfig, SolveTrace, solve
+from .nlp import AugLagConfig, SolveTrace, TraceRecord, solve
 from .whiten import DataMatrix, PpcaModel, SourceStats, center, fit_ppca, source_stats
 
 
@@ -52,16 +52,20 @@ class PursuitConfig:
 class PursuitResult:
     Q: np.ndarray                      # q x q, rows are the directions
     S_hat: np.ndarray                  # q x n sources, equals Q @ x_tilde
-    A_full: np.ndarray                 # p x q mixing for this Q
     component_traces: List[SolveTrace]
     joint_trace: Optional[SolveTrace]
     stage1_objectives: np.ndarray
     stage2_objectives: np.ndarray
     Q_stage1: np.ndarray
     joint_fallback: bool = False       # Stage 2 result was discarded
-    q_source: str = "user"             # "user" or "estimated"
     latdim: Optional[LatDimSummary] = None
     seed: int = 0
+
+    @property
+    def q_source(self) -> str:
+        """``"estimated"`` when the latent dimension came from ``estimate_q``,
+        ``"user"`` when it was given."""
+        return "user" if self.latdim is None else "estimated"
 
 
 def orthonormal_complement(priors: np.ndarray, q: int) -> np.ndarray:
@@ -128,8 +132,6 @@ def _closed_form_last_component(factory: ProblemFactory, w_basis: np.ndarray,
     true residual at the chosen direction and reads ``infeasible`` when it
     exceeds ``eta_con_star``.
     """
-    from .nlp.trace import TraceRecord
-
     w = w_basis[:, 0]
     best_sign = 1.0
     best_val, _ = factory.score(w, x_tilde)
@@ -268,7 +270,7 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     S = Q @ X
 
     return PursuitResult(
-        Q=Q, S_hat=S, A_full=np.zeros((0, q)), component_traces=traces,
+        Q=Q, S_hat=S, component_traces=traces,
         joint_trace=joint_trace, stage1_objectives=stage1,
         stage2_objectives=stage2, Q_stage1=Q1, joint_fallback=fallback,
         seed=config.rng_seed)
@@ -292,23 +294,20 @@ def decompose(data: DataMatrix, q: Optional[int] = None,
         factory = compose(contrast or LogCoshNegentropy())
 
     latdim_summary = None
-    q_source = "user"
     if q is None:
         centered, _ = center(data, channel_center=cfg.channel_center)
         latdim_summary = estimate_q(centered.values, seed=cfg.rng_seed)
         q = latdim_summary.q_hat
-        q_source = "estimated"
     if not 1 <= q <= data.p:
         raise ValueError(f"latent dimension {q} out of range [1, {data.p}]")
 
     model = fit_ppca(data, q, channel_center=cfg.channel_center,
                      degenerate="clip")
     result = run_stages(model.x_tilde, factory, cfg)
-    result.A_full = model.mixing_for(result.Q)
-    result.q_source = q_source
     result.latdim = latdim_summary
 
     stats = None
     if data.p > q:
-        stats = source_stats(model, data, result.S_hat, mixing=result.A_full)
+        stats = source_stats(model, data, result.S_hat,
+                             mixing=model.mixing_for(result.Q))
     return result, model, stats

@@ -122,7 +122,7 @@ def test_criterion_4_latent_dimensionality():
     t0 = time.time()
     cfg = GridConfig(ratios=(1.0, 1.5, 2.0), q_fracs=(0.1, 0.3, 0.5),
                      reps=20, master_seed=0)
-    cells = latdim_validation(cfg, threads=1)
+    cells = latdim_validation(cfg)
     worst = max(abs(c.mean_bias) for c in cells)
     ok = report("27 grid cells, |mean bias| <= 1 in every cell", worst <= 1.0,
                 f"worst={worst:.3f}")

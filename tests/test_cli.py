@@ -76,6 +76,17 @@ class TestDecompose:
         cfg.write_text(json.dumps({"input": str(fixture_csv), "junk": 1}))
         assert main(["decompose", "--config", str(cfg)]) == 2
 
+    def test_removed_threads_option_rejected(self, fixture_csv, tmp_path,
+                                             capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--input", str(fixture_csv), "--threads", "1"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "threads.json"
+        cfg.write_text(json.dumps({"input": str(fixture_csv), "threads": 1}))
+        capsys.readouterr()
+        assert main(["decompose", "--config", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
     def test_unknown_solver_key_rejected(self, fixture_csv, tmp_path):
         cfg = tmp_path / "bad2.json"
         cfg.write_text(json.dumps({"input": str(fixture_csv),
@@ -163,7 +174,7 @@ class TestBench:
             out = tmp_path / tag
             code = main(["bench", "sir-mc", "--sources", "synth5", "--n",
                          "600", "--nb", "2", "--seed", "1", "--output",
-                         str(out), "--threads", "1"])
+                         str(out)])
             assert code == 0
             outs.append(out / "sir-runs.csv")
         assert outs[0].read_bytes() == outs[1].read_bytes()
@@ -185,18 +196,11 @@ class TestBench:
         doc = json.loads((out / "sir-score.json").read_text())
         assert doc["matching"] == [2, 0, 1]
 
-    def test_threads_env_var_mirrored(self, monkeypatch):
-        from adis_kit.cli import _default_threads
-        monkeypatch.setenv("ADIS_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.delenv("ADIS_THREADS")
-        assert _default_threads() >= 1
-
     def test_latdim_grid_writes_reports(self, tmp_path):
         out = tmp_path / "grid"
         code = main(["bench", "latdim-grid", "--reps", "2", "--ratios", "2",
                      "--qps", "0.1", "--families", "gaussian", "--seed", "4",
-                     "--output", str(out), "--threads", "1"])
+                     "--output", str(out)])
         assert code == 0
         text = (out / "latdim-grid.csv").read_text()
         assert len(text.splitlines()) == 2

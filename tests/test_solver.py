@@ -1,4 +1,8 @@
+import csv
+import io
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +206,14 @@ class TestOuterSolve:
         rt = SolveTrace.from_jsonl(sol.trace.to_jsonl())
         assert rt.records == sol.trace.records
         assert sol.trace.to_csv().count("\n") == len(sol.trace) + 1
+
+        # non-finite values round-trip through JSONL and read the same in CSV
+        odd = SolveTrace()
+        odd.append(replace(final, f=math.inf, lagrangian=math.nan))
+        rt = SolveTrace.from_jsonl(odd.to_jsonl()).records[0]
+        assert rt.f == math.inf and math.isnan(rt.lagrangian)
+        row = next(csv.DictReader(io.StringIO(odd.to_csv())))
+        assert row["f"] == "inf" and row["lagrangian"] == "nan"
 
     def test_start_at_optimum_is_certified(self):
         # no iteration runs, yet the trace still ends in a stamped record
