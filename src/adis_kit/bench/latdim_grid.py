@@ -42,6 +42,20 @@ class GridConfig:
     reps: int = 20
     master_seed: int = 0
 
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError(f"reps must be at least 1, got {self.reps}")
+        bad = [r for r in self.ratios if not r > 0]
+        if bad:
+            raise ValueError(f"ratios must be positive, got {bad}")
+        bad = [qf for qf in self.q_fracs if round(qf * self.p) < 1]
+        if bad:
+            raise ValueError(f"q_fracs {bad} give no latent component at p={self.p}")
+        bad = [f for f in self.families if f not in FAMILIES]
+        if bad:
+            raise ValueError(f"unknown source families {bad}; "
+                             f"choose from {list(FAMILIES)}")
+
 
 def _cell_seed(cfg: GridConfig, fi: int, ri: int, qi: int, rep: int) -> int:
     ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(fi, ri, qi, rep))

@@ -66,6 +66,8 @@ def monte_carlo_bss(sources: np.ndarray, family: MixingFamily | str,
     Returns the aggregate report (failures excluded, counted) plus per-run
     details in run order. Run ``r`` gives the same result for any ``n_b > r``.
     """
+    if n_b < 1:
+        raise ValueError(f"n_b must be at least 1, got {n_b}")
     sources = np.asarray(sources, dtype=float)
     q = sources.shape[0]
     if np.linalg.matrix_rank(sources @ sources.T) < q:

@@ -251,17 +251,22 @@ def cmd_bench_nlp(args) -> int:
     # nnls
     if args.file:
         try:
-            with np.load(args.file) as npz:
+            npz = np.load(args.file)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with npz:
                 A, b = npz["A"], npz["b"]
                 C = npz["C"] if "C" in npz else np.eye(A.shape[1])
                 d = npz["d"] if "d" in npz else np.zeros(C.shape[0])
-        except (OSError, KeyError) as exc:
+            problem = nnls_problem(A, b, C, d)
+        except (OSError, KeyError, ValueError) as exc:
             print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
             return 2
     else:
         from .bench import random_nnls_instance
         A, b, C, d = random_nnls_instance(args.rows, args.cols, args.seed)
-    sol = solve(nnls_problem(A, b, C, d), config=cfg)
+        problem = nnls_problem(A, b, C, d)
+    sol = solve(problem, config=cfg)
     print(f"nnls {A.shape[0]}x{A.shape[1]}: objective={sol.f:.6f} "
           f"kkt_grad={sol.kkt_grad:.3e} kkt_con={sol.kkt_con:.3e} "
           f"outer={sol.n_outer} status={sol.status.value}")
@@ -278,12 +283,16 @@ def cmd_bench_sir_mc(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    t0 = time.perf_counter()
+    try:
+        agg, details = monte_carlo_bss(S, family, n_b=args.nb,
+                                       config=PursuitConfig(),
+                                       master_seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = PursuitConfig()
-    t0 = time.perf_counter()
-    agg, details = monte_carlo_bss(S, family, n_b=args.nb, config=cfg,
-                                   master_seed=args.seed)
     with open(outdir / "sir-runs.csv", "w") as fh:
         fh.write(agg.runs_csv())
     with open(outdir / "sir-summary.json", "w") as fh:
@@ -328,10 +337,14 @@ def cmd_bench_score(args) -> int:
 
 
 def cmd_bench_latdim_grid(args) -> int:
-    cfg = GridConfig(reps=args.reps, master_seed=args.seed,
-                     ratios=tuple(float(r) for r in args.ratios.split(",")),
-                     q_fracs=tuple(float(r) for r in args.qps.split(",")),
-                     families=tuple(args.families.split(",")))
+    try:
+        cfg = GridConfig(reps=args.reps, master_seed=args.seed,
+                         ratios=tuple(float(r) for r in args.ratios.split(",")),
+                         q_fracs=tuple(float(r) for r in args.qps.split(",")),
+                         families=tuple(args.families.split(",")))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

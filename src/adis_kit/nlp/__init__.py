@@ -7,7 +7,6 @@ from .problem import (
     check_gradients,
     kkt_residual,
     project_box,
-    with_starting_point,
 )
 from .quasi_newton import (
     DenseQuasiNewton,
@@ -50,5 +49,4 @@ __all__ = [
     "solve",
     "steihaug_cg",
     "trust_region_update",
-    "with_starting_point",
 ]

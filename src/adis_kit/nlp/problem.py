@@ -8,7 +8,7 @@ required anywhere in the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -62,10 +62,6 @@ class NlpProblem:
             if self.x0.shape != (self.dim,):
                 raise DimensionError(
                     f"x0 has shape {self.x0.shape}, expected ({self.dim},)")
-
-    @property
-    def has_bounds(self) -> bool:
-        return bool(np.any(np.isfinite(self.lower)) or np.any(np.isfinite(self.upper)))
 
     def eval_objective(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         f, g = self.objective(x)
@@ -247,7 +243,3 @@ def check_gradients(problem: NlpProblem, x: np.ndarray,
             raise AssertionError(
                 f"{label} derivative check failed: rel err {err:.3e} > {rel_tol:.1e}")
     return worst
-
-
-def with_starting_point(problem: NlpProblem, x0: np.ndarray) -> NlpProblem:
-    return replace(problem, x0=np.asarray(x0, dtype=float))

@@ -138,7 +138,6 @@ def make_quasi_newton(kind: str, n: int, gamma: float, memory: int = 10):
     kind = kind.lower()
     if kind in ("sr1", "bfgs"):
         return DenseQuasiNewton(n, kind=kind, gamma=gamma)
-    if kind in ("l-sr1", "l-bfgs", "lsr1", "lbfgs"):
-        base = "l-sr1" if "sr1" in kind else "l-bfgs"
-        return LimitedQuasiNewton(n, kind=base, gamma=gamma, memory=memory)
+    if kind in ("l-sr1", "l-bfgs"):
+        return LimitedQuasiNewton(n, kind=kind, gamma=gamma, memory=memory)
     raise ValueError(f"unknown quasi-Newton kind {kind!r}")

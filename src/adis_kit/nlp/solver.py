@@ -19,7 +19,7 @@ records its start point, so every trace ends in a stamped record.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -36,44 +36,38 @@ class SolveStatus(enum.Enum):
     INNER_FAILURE = "inner_failure"
 
 
+# Penalty schedule and trust-region constants: the initial penalty, its
+# raise and cut factors, the floor below which an unsolvable subproblem ends
+# the solve, the initial radius and the step-acceptance ratio.
+MU0 = 10.0
+THETA_H = 10.0
+THETA_L = 0.5
+MU_FLOOR = 1e-8
+DELTA0 = 1.0
+RHO_ACCEPT = 0.1
+
+
 @dataclass
 class AugLagConfig:
-    """Tunables of the outer/inner iteration.
+    """Stopping tolerances, iteration budgets and quasi-Newton variant.
 
-    Defaults follow the usual augmented-Lagrangian conventions; the two
-    stopping tolerances default to 1e-6.
+    The two stopping tolerances default to 1e-6. ``qn_kind`` is one of
+    ``sr1``, ``bfgs``, ``l-sr1`` and ``l-bfgs``; ``lm_memory`` is the window
+    of the limited-memory variants.
     """
 
-    mu0: float = 10.0
-    theta_h: float = 10.0
-    theta_l: float = 0.5
     eta_con_star: float = 1e-6
     eta_grad_star: float = 1e-6
     max_outer: int = 100
     j_max: int = 200
-    rho_accept: float = 0.1
     qn_kind: str = "sr1"
     lm_memory: int = 10
-    precondition: bool = False
-    delta0: float = 1.0
-    mu_floor: float = 1e-8
-    b0_scale: Optional[float] = None
 
     def validate(self) -> None:
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
-        if self.theta_h <= 1:
-            raise ValueError("theta_h must exceed 1")
-        if not 0 < self.theta_l < 1:
-            raise ValueError("theta_l must lie in (0, 1)")
         if self.eta_con_star <= 0 or self.eta_grad_star <= 0:
             raise ValueError("stopping tolerances must be positive")
-        if not 0 < self.rho_accept < 1:
-            raise ValueError("rho_accept must lie in (0, 1)")
         if self.j_max < 1 or self.max_outer < 1 or self.lm_memory < 1:
             raise ValueError("iteration limits must be positive")
-        if self.delta0 <= 0 or self.mu_floor <= 0:
-            raise ValueError("delta0 and mu_floor must be positive")
         make_quasi_newton(self.qn_kind, 1, 1.0)  # raises on unknown kind
 
 
@@ -108,18 +102,6 @@ class NlpSolution:
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
 
-    def summary(self) -> dict:
-        return {
-            "status": self.status.value,
-            "objective": self.f,
-            "kkt_grad": self.kkt_grad,
-            "kkt_con": self.kkt_con,
-            "n_outer": self.n_outer,
-            "n_inner": self.n_inner,
-            "multiplier_norm": float(np.max(np.abs(self.lam))) if self.lam.size else 0.0,
-            "x": self.x.tolist(),
-        }
-
 
 @dataclass
 class InnerResult:
@@ -151,8 +133,7 @@ def make_aug_lag_model(problem: NlpProblem, lam: np.ndarray, mu: float
 
 def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray, eta_grad: float, j_max: int, qn,
-                delta0: float = 1.0, rho_accept: float = 0.1,
-                precondition: bool = False,
+                delta0: float = DELTA0, rho_accept: float = RHO_ACCEPT,
                 on_iteration: Optional[Callable] = None) -> InnerResult:
     """Bound-constrained minimization of a model by projected Cauchy steps
     plus subspace CG refinement inside an inf-norm trust region.
@@ -185,8 +166,7 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
             if gr_norm > 0.0:
                 tol = min(0.1, np.sqrt(gr_norm))
                 v = steihaug_cg(B_red, g_red, delta=np.inf, tol=tol,
-                                box=(v_lo, v_hi), precondition=precondition,
-                                abs_tol=0.5 * eta_grad)
+                                box=(v_lo, v_hi), abs_tol=0.5 * eta_grad)
                 step = cp.p.copy()
                 step[free] += v
 
@@ -249,13 +229,12 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
 
     lam = np.zeros(prob.n_eq)
 
-    mu = cfg.mu0
+    mu = MU0
     eta_con = mu ** -0.1
     eta_grad = 1.0 / mu
 
     _, g0 = prob.eval_objective(x)
-    gamma = cfg.b0_scale if cfg.b0_scale is not None else max(
-        1.0, float(np.max(np.abs(g0))) if g0.size else 1.0)
+    gamma = max(1.0, float(np.max(np.abs(g0))) if g0.size else 1.0)
     qn = make_quasi_newton(cfg.qn_kind, prob.dim, gamma, cfg.lm_memory)
 
     trace = SolveTrace()
@@ -282,16 +261,14 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
         while True:
             res = inner_solve(make_aug_lag_model(prob, lam, mu), x,
                               prob.lower, prob.upper, eta_grad, cfg.j_max, qn,
-                              delta0=cfg.delta0, rho_accept=cfg.rho_accept,
-                              precondition=cfg.precondition,
                               on_iteration=on_iter)
             n_inner_total += res.iterations
             if res.success:
                 x = res.x
                 ev = res.payload
                 break
-            mu = cfg.theta_l * mu
-            if mu < cfg.mu_floor:
+            mu = THETA_L * mu
+            if mu < MU_FLOOR:
                 x = res.x
                 ev = res.payload
                 status = SolveStatus.INNER_FAILURE
@@ -314,7 +291,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             eta_con = eta_con / mu ** 0.9
             eta_grad = eta_grad / mu
         else:
-            mu = cfg.theta_h * mu
+            mu = THETA_H * mu
             eta_con = mu ** -0.1
             eta_grad = 1.0 / mu
 
@@ -327,7 +304,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             pg_norm=projected_gradient_norm(x, grad, prob.lower, prob.upper),
             c_norm=raw.c_norm,
             lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
-            mu=mu, delta=cfg.delta0, rho=None, accepted=True,
+            mu=mu, delta=DELTA0, rho=None, accepted=True,
             qn_skipped=False, eta_con=eta_con, eta_grad=eta_grad))
 
     # independent of the loop's own bookkeeping

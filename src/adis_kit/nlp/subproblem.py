@@ -14,7 +14,7 @@ box boundary or at negative curvature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -124,23 +124,9 @@ def _max_step_in_box(v: np.ndarray, d: np.ndarray, lo: np.ndarray,
     return max(alpha, 0.0)
 
 
-def _modified_cholesky(B: np.ndarray) -> np.ndarray:
-    """Cholesky factor of B + tau I for the smallest tau in a short ladder."""
-    n = B.shape[0]
-    beta = np.max(np.abs(np.diag(B))) if n else 1.0
-    tau = 0.0 if np.min(np.diag(B)) > 0 else beta * 1e-3
-    for _ in range(60):
-        try:
-            return np.linalg.cholesky(B + tau * np.eye(n))
-        except np.linalg.LinAlgError:
-            tau = max(2.0 * tau, beta * 1e-3)
-    return np.linalg.cholesky(B + tau * np.eye(n))  # pragma: no cover
-
-
-def steihaug_cg(B, g: np.ndarray, delta: float, tol: float = 0.1,
+def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
                 box: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                 max_iter: Optional[int] = None,
-                precondition: bool = False,
                 abs_tol: float = 0.0) -> np.ndarray:
     """Truncated CG for ``min 0.5 v'Bv + g'v`` inside a box trust region.
 
@@ -148,18 +134,12 @@ def steihaug_cg(B, g: np.ndarray, delta: float, tol: float = 0.1,
     ``box`` when given. Terminates on a residual below ``tol * ||g||``
     (tightened to ``abs_tol`` when that is smaller and positive), on negative
     curvature (step extended to the boundary) or on crossing the boundary.
-    ``B`` may be a dense matrix or a matvec callable.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     g = np.asarray(g, dtype=float)
     n = g.size
-    if callable(B):
-        matvec = B
-        B_dense = None
-    else:
-        B_dense = np.asarray(B, dtype=float)
-        matvec = lambda v: B_dense @ v
+    B = np.asarray(B, dtype=float)
 
     lo = np.full(n, -delta)
     hi = np.full(n, delta)
@@ -178,27 +158,16 @@ def steihaug_cg(B, g: np.ndarray, delta: float, tol: float = 0.1,
     if max_iter is None:
         max_iter = 2 * n + 5
 
-    solve_prec: Callable[[np.ndarray], np.ndarray]
-    if precondition and B_dense is not None and n > 0:
-        L = _modified_cholesky(B_dense)
-
-        def solve_prec(r):
-            z = np.linalg.solve(L, r)
-            return np.linalg.solve(L.T, z)
-    else:
-        solve_prec = lambda r: r
-
     v = np.zeros(n)
     r = g.copy()                 # residual of the model gradient Bv + g
-    z = solve_prec(r)
-    d = -z
-    rz = float(r @ z)
+    d = -r
+    rr = float(r @ r)
     for _ in range(max_iter):
-        Bd = matvec(d)
+        Bd = B @ d
         kappa = float(d @ Bd)
         if kappa <= 0.0:
             return v + _max_step_in_box(v, d, lo, hi) * d
-        alpha = rz / kappa
+        alpha = rr / kappa
         alpha_max = _max_step_in_box(v, d, lo, hi)
         if alpha >= alpha_max:
             return v + alpha_max * d
@@ -206,8 +175,7 @@ def steihaug_cg(B, g: np.ndarray, delta: float, tol: float = 0.1,
         r = r + alpha * Bd
         if np.linalg.norm(r) <= threshold:
             return v
-        z = solve_prec(r)
-        rz_new = float(r @ z)
-        d = -z + (rz_new / rz) * d
-        rz = rz_new
+        rr_new = float(r @ r)
+        d = -r + (rr_new / rr) * d
+        rr = rr_new
     return v

@@ -55,14 +55,6 @@ class SolveTrace:
     def final(self) -> Optional[TraceRecord]:
         return self.records[-1] if self.records else None
 
-    @property
-    def qn_skip_count(self) -> int:
-        return sum(1 for r in self.records if r.qn_skipped)
-
-    @property
-    def n_outer(self) -> int:
-        return 1 + max((r.outer for r in self.records), default=-1)
-
     def stamp_final(self, status: str, kkt_grad: float, kkt_con: float) -> None:
         if self.records:
             last = self.records[-1]

@@ -1,4 +1,5 @@
 import json
+import pickle
 import subprocess
 import sys
 
@@ -87,11 +88,18 @@ class TestDecompose:
         assert main(["decompose", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
-    def test_unknown_solver_key_rejected(self, fixture_csv, tmp_path):
-        cfg = tmp_path / "bad2.json"
-        cfg.write_text(json.dumps({"input": str(fixture_csv),
-                                   "solver": {"momentum": 0.9}}))
-        assert main(["decompose", "--config", str(cfg)]) == 2
+    def test_unknown_solver_key_rejected(self, fixture_csv, tmp_path, capsys):
+        # besides a junk key: names of the fixed penalty and trust-region
+        # constants, and of a preconditioner and Hessian scale the solver
+        # does not have, which older manifests carry
+        for key in ("momentum", "mu0", "theta_h", "theta_l", "mu_floor",
+                    "delta0", "rho_accept", "precondition", "b0_scale"):
+            cfg = tmp_path / f"bad-{key}.json"
+            cfg.write_text(json.dumps({"input": str(fixture_csv),
+                                       "solver": {key: 1}}))
+            capsys.readouterr()
+            assert main(["decompose", "--config", str(cfg)]) == 2, key
+            assert "unknown solver keys" in capsys.readouterr().err, key
 
     def test_unknown_contrast_rejected(self, fixture_csv, tmp_path, capsys):
         cfg = tmp_path / "bad3.json"
@@ -204,6 +212,50 @@ class TestBench:
         assert code == 0
         text = (out / "latdim-grid.csv").read_text()
         assert len(text.splitlines()) == 2
+
+
+def _write_rank_deficient_sources(path):
+    row = np.random.default_rng(0).standard_normal(300)
+    save_matrix_csv(path, np.vstack([row, 2.0 * row]))
+
+
+def _write_pickle(path):
+    with open(path, "wb") as fh:
+        pickle.dump({"A": np.eye(2), "b": np.zeros(2)}, fh)
+
+
+# case -> (arguments after "bench", writer of the input file the case names)
+BAD_BENCH_INPUTS = {
+    "grid-ratios-text": (["latdim-grid", "--ratios", "a,b"], None),
+    "grid-families-unknown": (["latdim-grid", "--families", "nope"], None),
+    "grid-ratios-zero": (["latdim-grid", "--ratios", "0"], None),
+    "grid-qps-zero": (["latdim-grid", "--qps", "0"], None),
+    "grid-reps-zero": (["latdim-grid", "--reps", "0"], None),
+    "sir-mc-nb-zero": (["sir-mc", "--n", "300", "--nb", "0"], None),
+    "sir-mc-rank-deficient": (["sir-mc", "--sources", "S.csv"],
+                              _write_rank_deficient_sources),
+    "nnls-npy": (["nlp", "nnls", "--file", "inst.npy"],
+                 lambda path: np.save(path, np.ones((3, 2)))),
+    "nnls-csv": (["nlp", "nnls", "--file", "inst.csv"],
+                 lambda path: save_matrix_csv(path, np.ones((3, 2)))),
+    "nnls-pickle": (["nlp", "nnls", "--file", "inst.pkl"], _write_pickle),
+    "nnls-object-array": (
+        ["nlp", "nnls", "--file", "inst.npz"],
+        lambda path: np.savez(path, A=np.array([{}], dtype=object),
+                              b=np.zeros(1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BENCH_INPUTS))
+def test_bench_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
+    args, write = BAD_BENCH_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    if write is not None:
+        write(tmp_path / args[-1])
+    assert main(["bench", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "adis-out").exists()
 
 
 class TestGen:

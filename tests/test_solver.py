@@ -253,8 +253,10 @@ class TestOuterSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AugLagConfig(theta_h=0.5).validate()
+            AugLagConfig(eta_con_star=0).validate()
         with pytest.raises(ValueError):
-            AugLagConfig(theta_l=1.5).validate()
+            AugLagConfig(j_max=0).validate()
         with pytest.raises(ValueError):
             AugLagConfig(qn_kind="nope").validate()
+        with pytest.raises(ValueError):
+            AugLagConfig(qn_kind="lbfgs").validate()
