@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .contrast import (
     ConstraintSet,
     LogCoshNegentropy,
-    compose,
+    ProblemFactory,
     g_logcosh,
     gauss_expectation,
-    make_contrast,
     negentropy,
 )
 from .latdim import LatDimSummary, cv_profile, estimate_q, permute_lower_bound
@@ -47,12 +46,12 @@ __all__ = [
     "LogCoshNegentropy",
     "NonStationaryARError",
     "PpcaModel",
+    "ProblemFactory",
     "PursuitConfig",
     "PursuitError",
     "PursuitResult",
     "SourceStats",
     "center",
-    "compose",
     "cv_profile",
     "decompose",
     "estimate_q",
@@ -60,7 +59,6 @@ __all__ = [
     "fit_ppca",
     "g_logcosh",
     "gauss_expectation",
-    "make_contrast",
     "negentropy",
     "permute_lower_bound",
     "prewhiten_iterate",

@@ -48,9 +48,11 @@ class GridConfig:
         bad = [r for r in self.ratios if not r > 0]
         if bad:
             raise ValueError(f"ratios must be positive, got {bad}")
-        bad = [qf for qf in self.q_fracs if round(qf * self.p) < 1]
+        # q = round(q_frac * p) needs a latent component and a noise subspace
+        bad = [qf for qf in self.q_fracs if not 1 <= round(qf * self.p) < self.p]
         if bad:
-            raise ValueError(f"q_fracs {bad} give no latent component at p={self.p}")
+            raise ValueError(f"q_fracs {bad} need 1 <= round(q_frac * p) < p "
+                             f"at p={self.p}")
         bad = [f for f in self.families if f not in FAMILIES]
         if bad:
             raise ValueError(f"unknown source families {bad}; "

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +36,19 @@ from .bench import (
     polygon_problem,
     synth5,
 )
-from .contrast import make_contrast
 from .dataio import load_matrix, save_matrix_csv
-from .latdim import estimate_q
+from .latdim import LatDimSummary, estimate_q
 from .nlp import AugLagConfig, solve
 from .pursuit import PursuitConfig, PursuitError, decompose
 from .whiten import DataMatrix, center
 
-SOLVER_KEYS = {f.name for f in AugLagConfig.__dataclass_fields__.values()}
-PURSUIT_KEYS = {"n_seeds", "retained", "run_stage2", "rng_seed", "channel_center"}
-TOP_KEYS = {"input", "q", "seed", "output", "pursuit", "solver", "contrast"}
+# The configuration's one declaration is PursuitConfig and AugLagConfig; each
+# key's type is the type of its default. The top-level seed is the only seed.
+SOLVER_FIELDS = {f.name: type(f.default) for f in fields(AugLagConfig)}
+PURSUIT_FIELDS = {f.name: type(f.default) for f in fields(PursuitConfig)
+                  if f.name not in ("solver", "rng_seed")}
+TOP_FIELDS = {"input": str, "q": int, "seed": int, "output": str,
+              "pursuit": dict, "solver": dict}
 
 
 class ConfigError(ValueError):
@@ -55,35 +58,40 @@ class ConfigError(ValueError):
 def load_config_file(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    if "config" in doc and isinstance(doc["config"], dict):
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    if isinstance(doc.get("config"), dict):
         doc = doc["config"]         # accept a manifest as a config source
-    validate_config(doc)
     return doc
 
 
-def validate_config(doc: dict) -> None:
-    unknown = set(doc) - TOP_KEYS
+def _type_ok(value, kind) -> bool:
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool   # a bool is no int
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_block(block: dict, types: dict, where: str, nullable=()) -> None:
+    unknown = set(block) - set(types)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "pursuit" in doc:
-        bad = set(doc["pursuit"]) - PURSUIT_KEYS
-        if bad:
-            raise ConfigError(f"unknown pursuit keys: {sorted(bad)}")
-    if "solver" in doc:
-        bad = set(doc["solver"]) - SOLVER_KEYS
-        if bad:
-            raise ConfigError(f"unknown solver keys: {sorted(bad)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in block.items():
+        if value is None and key in nullable or _type_ok(value, types[key]):
+            continue
+        raise ConfigError(f"{where} key {key!r} must be "
+                          f"{types[key].__name__}, got {value!r}")
+
+
+def validate_config(doc: dict) -> None:
+    """Key names and value types of a config, after the flags are merged."""
+    _check_block(doc, TOP_FIELDS, "config", nullable={"q", "output"})
+    _check_block(doc.get("pursuit", {}), PURSUIT_FIELDS, "pursuit")
+    _check_block(doc.get("solver", {}), SOLVER_FIELDS, "solver")
 
 
 def build_pursuit_config(doc: dict) -> PursuitConfig:
-    solver = AugLagConfig(**doc.get("solver", {}))
-    pcfg = doc.get("pursuit", {})
-    cfg = PursuitConfig(solver=solver,
-                        n_seeds=pcfg.get("n_seeds", 1000),
-                        retained=pcfg.get("retained", 2),
-                        run_stage2=pcfg.get("run_stage2", True),
-                        rng_seed=doc.get("seed", pcfg.get("rng_seed", 0)),
-                        channel_center=pcfg.get("channel_center", True))
+    cfg = PursuitConfig(**doc.get("pursuit", {}), rng_seed=doc["seed"],
+                        solver=AugLagConfig(**doc.get("solver", {})))
     cfg.validate()
     return cfg
 
@@ -94,11 +102,7 @@ def effective_config(doc: dict, cfg: PursuitConfig) -> dict:
         "q": doc.get("q"),
         "seed": cfg.rng_seed,
         "output": doc.get("output"),
-        "contrast": doc.get("contrast", "negentropy-logcosh"),
-        "pursuit": {"n_seeds": cfg.n_seeds, "retained": cfg.retained,
-                    "run_stage2": cfg.run_stage2,
-                    "channel_center": cfg.channel_center,
-                    "rng_seed": cfg.rng_seed},
+        "pursuit": {key: getattr(cfg, key) for key in PURSUIT_FIELDS},
         "solver": asdict(cfg.solver),
     }
 
@@ -111,6 +115,13 @@ def write_manifest(outdir: Path, command: str, config: dict, extra: dict,
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_latdim(outdir: Path, summary: LatDimSummary) -> None:
+    with open(outdir / "latdim.json", "w") as fh:
+        fh.write(summary.to_json() + "\n")
+    with open(outdir / "latdim-profile.csv", "w") as fh:
+        fh.write(summary.profile_csv())
 
 
 def _merge_cli(doc: dict, args, keys) -> dict:
@@ -127,16 +138,18 @@ def cmd_decompose(args) -> int:
         doc = load_config_file(args.config) if args.config else {}
         _merge_cli(doc, args, {"input": "input", "q": "q", "seed": "seed",
                                "output": "output"})
-        if doc.get("seed") is None:
-            doc["seed"] = 0
+        doc.setdefault("seed", PursuitConfig.rng_seed)
+        validate_config(doc)
         if not doc.get("input"):
             raise ConfigError("no input file given")
         if not Path(doc["input"]).exists():
             raise ConfigError(f"input file not found: {doc['input']}")
         cfg = build_pursuit_config(doc)
-        contrast = make_contrast(doc.get("contrast", "negentropy-logcosh"))
         values = load_matrix(doc["input"])
         data = DataMatrix(values)
+        if doc.get("q") is not None and not 1 <= doc["q"] <= data.p:
+            raise ConfigError(f"latent dimension {doc['q']} out of range "
+                              f"[1, {data.p}]")
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -145,8 +158,7 @@ def cmd_decompose(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        result, model, stats = decompose(data, q=doc.get("q"), config=cfg,
-                                         contrast=contrast)
+        result, model, stats = decompose(data, q=doc.get("q"), config=cfg)
     except PursuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for i, tr in enumerate(exc.traces):
@@ -172,6 +184,8 @@ def cmd_decompose(args) -> int:
         tr.save(outdir / f"trace-component-{k}.jsonl")
     if result.joint_trace is not None:
         result.joint_trace.save(outdir / "trace-joint.jsonl")
+    if result.latdim is not None:
+        write_latdim(outdir, result.latdim)
 
     all_converged = all(
         tr.final is not None and tr.final.status == "converged"
@@ -208,10 +222,7 @@ def cmd_latdim(args) -> int:
     t0 = time.perf_counter()
     centered, _ = center(data)
     summary = estimate_q(centered.values, seed=args.seed)
-    with open(outdir / "latdim.json", "w") as fh:
-        fh.write(summary.to_json() + "\n")
-    with open(outdir / "latdim-profile.csv", "w") as fh:
-        fh.write(summary.profile_csv())
+    write_latdim(outdir, summary)
     write_manifest(outdir, "latdim",
                    {"input": args.input, "seed": args.seed,
                     "output": str(outdir)},

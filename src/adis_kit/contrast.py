@@ -3,9 +3,10 @@
 A contrast maps a direction w and whitened data to a scalar "interestingness"
 and its gradient. The built-in contrast is the squared distance of the
 projected log-cosh moment from its Gaussian value, a robust non-Gaussianity
-score. ``compose`` turns a contrast plus optional hooks into minimization
-problems for the solver: the per-component problem in deflated coordinates
-and the joint problem over rotations of all directions at once.
+score. ``ProblemFactory`` turns a contrast plus an optional hook and user
+constraints into minimization problems for the solver: the per-component
+problem in deflated coordinates and the joint problem over rotations of all
+directions at once.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ SCORE_BLOCK_ELEMENTS = 1 << 16
 
 
 class ContrastFn(Protocol):
-    name: str
-
     def evaluate(self, w: np.ndarray, x_tilde: np.ndarray
                  ) -> Tuple[float, np.ndarray]: ...
 
@@ -86,11 +85,8 @@ class ContrastFn(Protocol):
         return np.array([self.evaluate(d, x_tilde)[0] for d in D])
 
 
-@dataclass
 class LogCoshNegentropy(ContrastFn):
     """Default contrast; stateless apart from the cached Gaussian moment."""
-
-    name: str = "negentropy-logcosh"
 
     def evaluate(self, w, x_tilde):
         return negentropy(w, x_tilde)
@@ -126,17 +122,6 @@ class LogCoshNegentropy(ContrastFn):
             total += zb.sum(axis=1)
             out[i:i + rows.shape[0]] = (total / n - log2) - c
         return out * out
-
-
-CONTRASTS = {"negentropy-logcosh": LogCoshNegentropy}
-
-
-def make_contrast(name: str) -> ContrastFn:
-    try:
-        return CONTRASTS[name]()
-    except KeyError:
-        raise ValueError(f"unknown contrast {name!r}; "
-                         f"available: {sorted(CONTRASTS)}") from None
 
 
 # hook signature: (w, x_tilde) -> (value, gradient wrt w)
@@ -193,6 +178,8 @@ def _stack_user_block(blocks, w, X, chain: Optional[np.ndarray]):
 class ProblemFactory:
     """Builds solver problems from a contrast, a hook and user constraints.
 
+    This is how a custom contrast, hook or constraint set reaches the
+    pipeline: ``decompose(data, factory=ProblemFactory(my_contrast))``.
     The solver minimizes, so objectives are the negated contrast (plus hook).
     """
 
@@ -324,8 +311,3 @@ def cayley_rotation(x: np.ndarray, Q_start: np.ndarray
 
     return C @ Q_start, pull
 
-
-def compose(contrast: ContrastFn, b_hook: Optional[HookFn] = None,
-            constraints: Optional[ConstraintSet] = None) -> ProblemFactory:
-    return ProblemFactory(contrast=contrast, b_hook=b_hook,
-                          constraints=constraints or ConstraintSet())

@@ -15,8 +15,8 @@ majority of resamples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .contrast import (ContrastFn, LogCoshNegentropy, ProblemFactory,
-                       cayley_rotation, compose)
+                       cayley_rotation)
 from .latdim import LatDimSummary, estimate_q
 from .nlp import AugLagConfig, SolveTrace, TraceRecord, solve
 from .whiten import DataMatrix, PpcaModel, SourceStats, center, fit_ppca, source_stats
@@ -59,7 +59,6 @@ class PursuitResult:
     Q_stage1: np.ndarray
     joint_fallback: bool = False       # Stage 2 result was discarded
     latdim: Optional[LatDimSummary] = None
-    seed: int = 0
 
     @property
     def q_source(self) -> str:
@@ -272,13 +271,11 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     return PursuitResult(
         Q=Q, S_hat=S, component_traces=traces,
         joint_trace=joint_trace, stage1_objectives=stage1,
-        stage2_objectives=stage2, Q_stage1=Q1, joint_fallback=fallback,
-        seed=config.rng_seed)
+        stage2_objectives=stage2, Q_stage1=Q1, joint_fallback=fallback)
 
 
 def decompose(data: DataMatrix, q: Optional[int] = None,
               config: Optional[PursuitConfig] = None,
-              contrast: Optional[ContrastFn] = None,
               factory: Optional[ProblemFactory] = None
               ) -> Tuple[PursuitResult, PpcaModel, Optional[SourceStats]]:
     """Full pipeline: center, estimate the latent dimension when not given,
@@ -286,12 +283,13 @@ def decompose(data: DataMatrix, q: Optional[int] = None,
 
     Source statistics need p > q (the residual has p - q degrees of freedom);
     for square problems they are returned as None. Deterministic for a fixed
-    ``config.rng_seed``.
+    ``config.rng_seed``. ``factory`` carries the contrast, hook and user
+    constraints; the default is the log-cosh negentropy alone.
     """
     cfg = config or PursuitConfig()
     cfg.validate()
     if factory is None:
-        factory = compose(contrast or LogCoshNegentropy())
+        factory = ProblemFactory(LogCoshNegentropy())
 
     latdim_summary = None
     if q is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -251,8 +251,8 @@ def prewhiten_iterate(data: DataMatrix,
     filters the data with them. Channels whose residual autocorrelations stay
     within ``significance / sqrt(n)`` are treated as white and left alone.
     Stops when the mean squared change drops below ``tol`` or after
-    ``max_rounds`` rounds. Off by default in the pipeline; ``max_rounds=0``
-    returns the input unchanged.
+    ``max_rounds`` rounds. A library step: ``decompose`` does not call it.
+    ``max_rounds=0`` returns the input unchanged.
     """
     if ar_order < 1:
         raise ValueError("ar_order must be >= 1")

@@ -2,6 +2,7 @@ import json
 import pickle
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from adis_kit.cli import main
 from adis_kit.dataio import save_matrix_csv
 from adis_kit.bench import model_dataset
+from adis_kit.pursuit import PursuitConfig
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +32,24 @@ class TestDecompose:
         assert names == sorted([
             "Q.csv", "sources.csv", "mixing.csv", "model.json", "stats.csv",
             "trace-component-1.jsonl", "trace-component-2.jsonl",
-            "trace-joint.jsonl", "manifest.json",
+            "trace-joint.jsonl", "latdim.json", "latdim-profile.csv",
+            "manifest.json",
         ])
-        assert len(names) == 9
+        assert len(names) == 11
+
+    def test_estimated_q_saves_latdim_report(self, fixture_csv, tmp_path):
+        # the estimate behind q-hat is the one `adis latdim` reports
+        dec, lat = tmp_path / "dec", tmp_path / "lat"
+        assert main(["decompose", "--input", str(fixture_csv), "--seed", "7",
+                     "--output", str(dec)]) == 0
+        assert main(["latdim", "--input", str(fixture_csv), "--seed", "7",
+                     "--output", str(lat)]) == 0
+        for name in ("latdim.json", "latdim-profile.csv"):
+            assert (dec / name).read_bytes() == (lat / name).read_bytes()
+        user = tmp_path / "user"
+        assert main(["decompose", "--input", str(fixture_csv), "--q", "2",
+                     "--output", str(user)]) == 0
+        assert not (user / "latdim.json").exists()
 
     def test_missing_input_exits_2_without_outputs(self, tmp_path):
         out = tmp_path / "never"
@@ -63,8 +80,22 @@ class TestDecompose:
 
     def test_rerun_from_manifest_reproduces(self, fixture_csv, tmp_path):
         first = tmp_path / "first"
+        cfg = tmp_path / "first.json"
+        cfg.write_text(json.dumps({
+            "pursuit": {"n_seeds": 60, "retained": 3, "run_stage2": False,
+                        "channel_center": False},
+            "solver": {"qn_kind": "bfgs", "eta_con_star": 1e-7}}))
         assert main(["decompose", "--input", str(fixture_csv), "--seed", "9",
-                     "--q", "2", "--output", str(first)]) == 0
+                     "--q", "2", "--config", str(cfg),
+                     "--output", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        pursuit = manifest["config"]["pursuit"]
+        assert set(pursuit) == {f.name for f in fields(PursuitConfig)} - {
+            "solver", "rng_seed"}
+        assert pursuit["n_seeds"] == 60 and pursuit["run_stage2"] is False
+        assert manifest["config"]["solver"]["qn_kind"] == "bfgs"
+        assert manifest["config"]["seed"] == 9
+        assert not (first / "trace-joint.jsonl").exists()
         second = tmp_path / "second"
         assert main(["decompose", "--config", str(first / "manifest.json"),
                      "--output", str(second)]) == 0
@@ -76,6 +107,9 @@ class TestDecompose:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"input": str(fixture_csv), "junk": 1}))
         assert main(["decompose", "--config", str(cfg)]) == 2
+        cfg.write_text(json.dumps(["input"]))   # not a JSON object
+        assert main(["decompose", "--config", str(cfg), "--input",
+                     str(fixture_csv)]) == 2
 
     def test_removed_threads_option_rejected(self, fixture_csv, tmp_path,
                                              capsys):
@@ -102,21 +136,60 @@ class TestDecompose:
             assert "unknown solver keys" in capsys.readouterr().err, key
 
     def test_unknown_contrast_rejected(self, fixture_csv, tmp_path, capsys):
-        cfg = tmp_path / "bad3.json"
-        cfg.write_text(json.dumps({"input": str(fixture_csv),
-                                   "contrast": "kurtosis"}))
-        assert main(["decompose", "--config", str(cfg)]) == 2
-        assert "unknown contrast" in capsys.readouterr().err
+        # no contrast key: a custom contrast enters through ProblemFactory
+        for name in ("kurtosis", "negentropy-logcosh"):
+            cfg = tmp_path / "bad3.json"
+            cfg.write_text(json.dumps({"input": str(fixture_csv),
+                                       "contrast": name}))
+            capsys.readouterr()
+            assert main(["decompose", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "unknown config keys: ['contrast']" in err
 
-    def test_named_contrast_accepted(self, fixture_csv, tmp_path):
-        cfg = tmp_path / "good.json"
-        out = tmp_path / "named"
-        cfg.write_text(json.dumps({"input": str(fixture_csv), "q": 2,
-                                   "seed": 2, "output": str(out),
-                                   "contrast": "negentropy-logcosh"}))
-        assert main(["decompose", "--config", str(cfg)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["contrast"] == "negentropy-logcosh"
+
+def test_decompose_config_accepts_null_and_int_for_float(fixture_csv,
+                                                        tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(fixture_csv), "q": None,
+                               "pursuit": {"n_seeds": 50},
+                               "solver": {"eta_grad_star": 1}}))
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(cfg), "--output",
+                 str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["q_source"] == "estimated"
+    assert manifest["config"]["seed"] == PursuitConfig().rng_seed
+    assert manifest["config"]["solver"]["eta_grad_star"] == 1
+
+
+# case -> (config file entries, extra flags); every case must exit 2
+BAD_DECOMPOSE_CONFIGS = {
+    "solver-qn-kind-int": ({"solver": {"qn_kind": 5}}, []),
+    "solver-j-max-str": ({"solver": {"j_max": "10"}}, []),
+    "pursuit-n-seeds-str": ({"pursuit": {"n_seeds": "5"}}, []),
+    "q-str": ({"q": "3"}, []),
+    "q-float": ({"q": 2.5}, []),
+    "seed-str": ({"seed": "7"}, []),
+    "run-stage2-str": ({"pursuit": {"run_stage2": "no"}}, []),
+    "retained-bool": ({"pursuit": {"retained": True}}, []),
+    "pursuit-rng-seed": ({"pursuit": {"rng_seed": 5}}, []),
+    "contrast": ({"contrast": "negentropy-logcosh"}, []),
+    "q-zero": ({}, ["--q", "0"]),
+    "q-above-p": ({}, ["--q", "99"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DECOMPOSE_CONFIGS))
+def test_decompose_bad_config_exits_2(case, fixture_csv, tmp_path, capsys):
+    entries, flags = BAD_DECOMPOSE_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(fixture_csv), **entries}))
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(cfg), "--output", str(out),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestLatdim:
@@ -230,6 +303,9 @@ BAD_BENCH_INPUTS = {
     "grid-families-unknown": (["latdim-grid", "--families", "nope"], None),
     "grid-ratios-zero": (["latdim-grid", "--ratios", "0"], None),
     "grid-qps-zero": (["latdim-grid", "--qps", "0"], None),
+    "grid-qps-one": (["latdim-grid", "--qps", "1"], None),
+    "grid-qps-above-one": (["latdim-grid", "--qps", "1.5", "--ratios", "2",
+                            "--families", "gaussian", "--reps", "1"], None),
     "grid-reps-zero": (["latdim-grid", "--reps", "0"], None),
     "sir-mc-nb-zero": (["sir-mc", "--n", "300", "--nb", "0"], None),
     "sir-mc-rank-deficient": (["sir-mc", "--sources", "S.csv"],

@@ -5,11 +5,10 @@ from adis_kit.contrast import (
     ConstraintSet,
     ContrastFn,
     LogCoshNegentropy,
+    ProblemFactory,
     cayley_rotation,
-    compose,
     g_logcosh,
     gauss_expectation,
-    make_contrast,
     negentropy,
 )
 from adis_kit.nlp import AugLagConfig, check_gradients, solve
@@ -170,16 +169,6 @@ class TestScores:
             LogCoshNegentropy().scores(np.ones((2, 2)), np.ones((2, 1)))
 
 
-class TestRegistry:
-    def test_builtin_by_name(self):
-        c = make_contrast("negentropy-logcosh")
-        assert isinstance(c, LogCoshNegentropy)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown contrast"):
-            make_contrast("kurtosis")
-
-
 class TestCompose:
     def setup_method(self):
         rng = np.random.default_rng(5)
@@ -187,7 +176,7 @@ class TestCompose:
         self.W = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2]
 
     def test_objective_is_negated_contrast(self):
-        factory = compose(LogCoshNegentropy())
+        factory = ProblemFactory(LogCoshNegentropy())
         problem = factory.component_problem(self.W, self.X)
         z = np.array([0.6, 0.8])
         f, _ = problem.eval_objective(z)
@@ -196,9 +185,9 @@ class TestCompose:
 
     def test_constant_hook_shifts_objective_only(self):
         kappa = 0.37
-        plain = compose(LogCoshNegentropy())
-        hooked = compose(LogCoshNegentropy(),
-                         b_hook=lambda w, X: (kappa, np.zeros(w.size)))
+        plain = ProblemFactory(LogCoshNegentropy())
+        hooked = ProblemFactory(
+            LogCoshNegentropy(), b_hook=lambda w, X: (kappa, np.zeros(w.size)))
         z = np.array([1.0, 0.0])
         f0, g0 = plain.component_problem(self.W, self.X).eval_objective(z)
         f1, g1 = hooked.component_problem(self.W, self.X).eval_objective(z)
@@ -206,14 +195,14 @@ class TestCompose:
         np.testing.assert_allclose(g1, g0, atol=1e-14)
 
     def test_component_problem_passes_gradient_audit(self):
-        factory = compose(LogCoshNegentropy())
+        factory = ProblemFactory(LogCoshNegentropy())
         problem = factory.component_problem(self.W, self.X)
         rng = np.random.default_rng(6)
         check_gradients(problem, rng.standard_normal(2))
 
     def test_joint_problem_passes_gradient_audit(self):
         # the rotation problem at a random skew point, away from K = 0
-        factory = compose(LogCoshNegentropy())
+        factory = ProblemFactory(LogCoshNegentropy())
         rng = np.random.default_rng(7)
         Q_start = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         problem = factory.joint_problem(self.X, Q_start)
@@ -232,8 +221,9 @@ class TestCompose:
         # one extra equality: mean absolute projection pinned to a level
         # reachable on the unit sphere
         X = self.X
-        factory = compose(LogCoshNegentropy(),
-                          constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
+        factory = ProblemFactory(
+            LogCoshNegentropy(),
+            constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
         problem = factory.component_problem(np.eye(3)[:, :3], X)
         sol = solve(problem, x0=np.array([1.0, 0.0, 0.0]),
                     config=AugLagConfig())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from adis_kit.bench import MixingSpec, gen_mixing, sir, sparse_bells, synth5
-from adis_kit.contrast import ConstraintSet, LogCoshNegentropy, compose, negentropy
+from adis_kit.contrast import (ConstraintSet, LogCoshNegentropy,
+                               ProblemFactory, negentropy)
 from adis_kit.nlp import SolveTrace, check_gradients
 from adis_kit.pursuit import (
     PursuitConfig,
@@ -30,7 +31,7 @@ def whitened_mixture(S, mix_seed):
 
 @pytest.fixture(scope="module")
 def factory():
-    return compose(LogCoshNegentropy())
+    return ProblemFactory(LogCoshNegentropy())
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +132,9 @@ class TestExtractComponent:
                                                               laplace_xt):
         # the last direction is fixed up to sign, so a user equality cannot
         # be met there; its trace must say so
-        constrained = compose(LogCoshNegentropy(),
-                              constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
+        constrained = ProblemFactory(
+            LogCoshNegentropy(),
+            constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
         cfg = PursuitConfig(n_seeds=100, rng_seed=3, run_stage2=False)
         res = run_stages(laplace_xt, constrained, cfg)
         for w, trace in zip(res.Q_stage1[:2], res.component_traces[:2]):
@@ -241,8 +243,9 @@ class TestRefineJoint:
         assert back.records == res.joint_trace.records
 
     def test_user_equality_holds_on_every_row(self, laplace_xt):
-        constrained = compose(LogCoshNegentropy(),
-                              constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
+        constrained = ProblemFactory(
+            LogCoshNegentropy(),
+            constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
         cfg = PursuitConfig(n_seeds=100, rng_seed=3)
         res = run_stages(laplace_xt, constrained, cfg)
         assert not res.joint_fallback
