@@ -155,18 +155,23 @@ def cmd_decompose(args) -> int:
         return 2
 
     outdir = Path(doc.get("output") or "adis-out")
-    outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
         result, model, stats = decompose(data, q=doc.get("q"), config=cfg)
+    except ValueError as exc:
+        # input the pipeline rejects, such as too few channels to estimate q
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except PursuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        outdir.mkdir(parents=True, exist_ok=True)
         for i, tr in enumerate(exc.traces):
             tr.save(outdir / f"trace-failed-{i + 1}.jsonl")
         print(f"partial traces written to {outdir}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - t0
 
+    outdir.mkdir(parents=True, exist_ok=True)
     q = result.Q.shape[0]
     save_matrix_csv(outdir / "Q.csv", result.Q)
     save_matrix_csv(outdir / "sources.csv", result.S_hat)
@@ -210,18 +215,15 @@ def cmd_latdim(args) -> int:
         if not Path(args.input).exists():
             raise ConfigError(f"input file not found: {args.input}")
         data = DataMatrix(load_matrix(args.input))
-        if data.p < 8:
-            raise ConfigError(
-                f"need at least 8 channels for the scan range, got {data.p}")
+        t0 = time.perf_counter()
+        centered, _ = center(data)
+        summary = estimate_q(centered.values, seed=args.seed)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    centered, _ = center(data)
-    summary = estimate_q(centered.values, seed=args.seed)
     write_latdim(outdir, summary)
     write_manifest(outdir, "latdim",
                    {"input": args.input, "seed": args.seed,

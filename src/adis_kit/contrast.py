@@ -4,9 +4,9 @@ A contrast maps a direction w and whitened data to a scalar "interestingness"
 and its gradient. The built-in contrast is the squared distance of the
 projected log-cosh moment from its Gaussian value, a robust non-Gaussianity
 score. ``ProblemFactory`` turns a contrast plus an optional hook and user
-constraints into minimization problems for the solver: the per-component
-problem in deflated coordinates and the joint problem over rotations of all
-directions at once.
+constraints into minimization problems for the solver. Both pursuit stages
+move directions by a Cayley rotation of orthonormal rows (one row in Stage
+1, all rows in Stage 2), so the solver's constraints are the user's alone.
 """
 
 from __future__ import annotations
@@ -150,16 +150,16 @@ class ConstraintSet:
         """Largest equality residual or inequality shortfall at ``w``."""
         worst = 0.0
         if self.eq:
-            c, _ = _stack_user_block(self.eq, w, X, None)
+            c, _ = _stack_user_block(self.eq, w, X)
             worst = max(worst, float(np.max(np.abs(c))))
         if self.ineq:
-            g, _ = _stack_user_block(self.ineq, w, X, None)
+            g, _ = _stack_user_block(self.ineq, w, X)
             worst = max(worst, float(np.max(-g)))
         return worst
 
 
-def _stack_user_block(blocks, w, X, chain: Optional[np.ndarray]):
-    """Evaluate user constraint blocks at w, mapping Jacobians through chain."""
+def _stack_user_block(blocks, w, X):
+    """Evaluate user constraint blocks at w: stacked values and Jacobian."""
     vals, jacs = [], []
     for fn, m in blocks:
         v, J = fn(w, X)
@@ -170,7 +170,7 @@ def _stack_user_block(blocks, w, X, chain: Optional[np.ndarray]):
                 f"user constraint returned shapes {v.shape}, {J.shape}; "
                 f"declared ({m},), ({m}, {w.size})")
         vals.append(v)
-        jacs.append(J if chain is None else J @ chain)
+        jacs.append(J)
     return np.concatenate(vals), np.vstack(jacs)
 
 
@@ -196,118 +196,84 @@ class ProblemFactory:
             grad = grad + np.asarray(bg, dtype=float)
         return value, grad
 
-    def component_problem(self, w_basis: np.ndarray,
-                          x_tilde: np.ndarray) -> NlpProblem:
-        """Problem over reduced coordinates z with direction w = w_basis @ z.
+    def rotation_problem(self, x_tilde: np.ndarray, start: np.ndarray,
+                         moved: int) -> NlpProblem:
+        """Problem over rotations of the first ``moved`` rows of ``start``.
 
-        One built-in equality keeps z on the unit sphere; user constraints are
-        chained through the basis. Orthogonality to earlier directions is
-        structural (the basis spans their complement).
-        """
-        W = np.asarray(w_basis, dtype=float)
-        X = np.asarray(x_tilde, dtype=float)
-        r = W.shape[1]
-
-        def objective(z):
-            w = W @ z
-            value, grad_w = self.score(w, X)
-            return -value, -(W.T @ grad_w)
-
-        cs = self.constraints
-
-        def eq(z):
-            w = W @ z
-            c = np.array([float(z @ z) - 1.0])
-            J = (2.0 * z)[None, :]
-            if cs.eq:
-                uc, uJ = _stack_user_block(cs.eq, w, X, W)
-                c = np.concatenate([c, uc])
-                J = np.vstack([J, uJ])
-            return c, J
-
-        ineq = None
-        n_ineq = cs.n_ineq
-        if n_ineq:
-            def ineq(z):
-                return _stack_user_block(cs.ineq, W @ z, X, W)
-
-        return NlpProblem(dim=r, objective=objective, eq_constraints=eq,
-                          n_eq=1 + cs.n_eq, ineq_constraints=ineq,
-                          n_ineq=n_ineq, name="pursuit-component")
-
-    def joint_problem(self, x_tilde: np.ndarray,
-                      Q_start: np.ndarray) -> NlpProblem:
-        """Problem over the rotations of all directions at once.
-
-        The variables are the strictly upper triangle of a skew matrix K and
-        the directions are the rows of ``cayley_rotation(x, Q_start)[0]``, so
-        orthonormality is structural and the only constraints are the user
-        blocks, applied to each direction and pulled back through the map.
-        The objective sums the per-direction score.
+        ``start`` holds r orthonormal rows; the variables are the entries of
+        a skew K in rows ``0 .. moved-1`` of its strict upper triangle, the
+        rest of K being zero, and the moved directions are the first
+        ``moved`` rows of ``cayley_rotation(x, start)[0]``. Unit norm and
+        orthogonality are structural, so the only constraints are the user
+        blocks on each moved direction, pulled back through the map. The
+        objective sums the negated per-direction score.
         """
         X = np.asarray(x_tilde, dtype=float)
-        Q_start = np.asarray(Q_start, dtype=float)
-        q = Q_start.shape[0]
+        start = np.asarray(start, dtype=float)
+        r = start.shape[0]
+        dim = moved * (r - 1) - moved * (moved - 1) // 2
         cs = self.constraints
 
         def objective(x):
-            Q, pull = cayley_rotation(x, Q_start)
+            Q, pull = cayley_rotation(x, start)
             total = 0.0
-            G = np.empty_like(Q)
-            for k in range(q):
+            G = np.zeros_like(Q)
+            for k in range(moved):
                 value, G[k] = self.score(Q[k], X)
                 total += value
             return -total, -pull(G)
 
         def per_direction(blocks):
             def fn(x):
-                Q, pull = cayley_rotation(x, Q_start)
+                Q, pull = cayley_rotation(x, start)
                 vals, jacs = [], []
-                for k in range(q):
-                    v, J = _stack_user_block(blocks, Q[k], X, None)
-                    G = np.zeros((v.size, q, q))
+                for k in range(moved):
+                    v, J = _stack_user_block(blocks, Q[k], X)
+                    G = np.zeros((v.size,) + Q.shape)
                     G[:, k] = J
                     vals.append(v)
                     jacs.append(pull(G))
                 return np.concatenate(vals), np.vstack(jacs)
             return fn
 
-        return NlpProblem(dim=q * (q - 1) // 2, objective=objective,
+        return NlpProblem(dim=dim, objective=objective,
                           eq_constraints=per_direction(cs.eq) if cs.eq else None,
-                          n_eq=cs.n_eq * q,
+                          n_eq=cs.n_eq * moved,
                           ineq_constraints=(per_direction(cs.ineq)
                                             if cs.ineq else None),
-                          n_ineq=cs.n_ineq * q, name="pursuit-joint")
+                          n_ineq=cs.n_ineq * moved,
+                          name="pursuit-rotation")
 
 
-def cayley_rotation(x: np.ndarray, Q_start: np.ndarray
+def cayley_rotation(x: np.ndarray, start: np.ndarray
                     ) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Rotate the rows of ``Q_start`` by the Cayley transform of a skew K.
+    """Rotate the r orthonormal rows of the r x q ``start`` by the Cayley
+    transform ``C(K) = (I - K/2)^{-1} (I + K/2)`` of an r x r skew K.
 
-    ``x`` holds the strictly upper triangle of K (row-major) and
-    ``C(K) = (I - K/2)^{-1} (I + K/2)``; the rotated directions are
-    ``C(K) @ Q_start``. C(K) is orthogonal for every K and reaches every
-    rotation without an eigenvalue -1, so the image is every orthonormal
-    matrix whose rotation relative to ``Q_start`` has no eigenvalue -1.
+    ``x`` holds the leading entries of the strictly upper triangle of K in
+    row-major order, the rest being zero. C(K) is orthogonal and reaches
+    every rotation without an eigenvalue -1; with row 0 of K alone, row 0 of
+    ``C(K) @ start`` reaches every unit vector in the span of ``start`` but
+    ``-start[0]``.
 
-    Returns the rotated matrix and the pullback that maps gradients with
-    respect to it, of shape ``(..., q, q)``, to gradients with respect to
-    ``x``: the strictly upper triangle of ``M - M'`` with
-    ``M = (I - K/2)^{-T} G Q_start' (C + I)' / 2``.
+    Returns ``C(K) @ start`` and the pullback that maps gradients with
+    respect to it, of shape ``(..., r, q)``, to gradients with respect to
+    ``x``: the leading entries of the strictly upper triangle of ``M - M'``
+    with ``M = (I - K/2)^{-T} G start' (C + I)' / 2``.
     """
-    q = Q_start.shape[0]
-    iu = np.triu_indices(q, 1)
-    K = np.zeros((q, q))
+    r = start.shape[0]
+    rows, cols = np.triu_indices(r, 1)
+    iu = rows[:x.size], cols[:x.size]
+    K = np.zeros((r, r))
     K[iu] = x
     K -= K.T
-    eye = np.eye(q)
+    eye = np.eye(r)
     inv = np.linalg.inv(eye - 0.5 * K)
     C = inv @ (eye + 0.5 * K)
-    right = Q_start.T @ (C + eye).T
+    right = start.T @ (C + eye).T
 
     def pull(G):
         M = 0.5 * (inv.T @ G @ right)
         return (M - np.swapaxes(M, -1, -2))[..., iu[0], iu[1]]
 
-    return C @ Q_start, pull
-
+    return C @ start, pull

@@ -28,6 +28,8 @@ EXCEED_RTOL = 1e-9
 # bootstrap resamples of the columns; a different estimate needs more than
 # half of them
 BOOT_REPS = 15
+# the CV scan ends at q = p - 4; fewer channels leave it too short to vote
+MIN_CHANNELS = 8
 
 
 @dataclass
@@ -194,10 +196,14 @@ def estimate_q(X: np.ndarray, seed: int) -> LatDimSummary:
     The full-data CV estimate stands unless more than half of the
     ``BOOT_REPS`` bootstrap resamples agree on another value. Ties in every
     argmax go to the smallest index. All randomness comes from ``seed``, so
-    identical inputs reproduce identical summaries.
+    identical inputs reproduce identical summaries. Raises ``ValueError``
+    for fewer than ``MIN_CHANNELS`` channels.
     """
     X = np.asarray(X, dtype=float)
     p = X.shape[0]
+    if p < MIN_CHANNELS:
+        raise ValueError(f"need at least {MIN_CHANNELS} channels for the "
+                         f"scan range, got {p}")
     q_l, lam, lam_b = permute_lower_bound(X, seed)
 
     # The drop statistic peaks at q_true - 1, which a scan starting exactly at

@@ -1,13 +1,14 @@
 """Multistage source extraction.
 
 Stage 0 scatters random unit vectors over the feasible manifold and keeps the
-best-scoring few as seeds. Stage 1 extracts one direction at a time in
-deflated coordinates (an orthonormal basis of the complement of the earlier
-directions), so orthogonality is structural and each solve carries a single
-unit-norm constraint. Stage 2 re-optimizes all directions jointly by rotating
-the Stage 1 solution, ``Q = C(K) @ Q_stage1`` with C the Cayley transform of
-a skew-symmetric K, in one unconstrained solve over K; it falls back to the
-Stage 1 solution, explicitly, if that solve fails or loses objective.
+best-scoring few as seeds. Stage 1 extracts one direction at a time by
+rotating a seed inside an orthonormal basis of the complement of the earlier
+directions. Stage 2 re-optimizes all directions jointly by rotating the
+Stage 1 solution, ``Q = C(K) @ Q_stage1`` with C the Cayley transform of a
+skew-symmetric K. Both stages solve ``ProblemFactory.rotation_problem``, so
+unit norm and orthogonality are structural and the solver's constraints are
+the user's alone. Stage 2 falls back to the Stage 1 solution, explicitly, if
+its solve fails or loses objective against a feasible Stage 1.
 """
 
 from __future__ import annotations
@@ -149,15 +150,25 @@ def _closed_form_last_component(factory: ProblemFactory, w_basis: np.ndarray,
     return w, best_val, trace
 
 
+def _seed_first(w_basis: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """``w_basis`` times the Householder reflection that maps e_1 to the
+    unit vector ``z0``: orthonormal columns, the first one ``w_basis @ z0``."""
+    v = z0.copy()
+    v[0] -= 1.0
+    return w_basis - np.outer(w_basis @ v, (2.0 / (v @ v)) * v)
+
+
 def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
                       factory: ProblemFactory, config: PursuitConfig,
                       rng: np.random.Generator
                       ) -> Tuple[np.ndarray, float, SolveTrace]:
     """Extract direction ``k`` (1-based) orthogonal to the prior rows.
 
-    Runs Stage 0 seeding then one solve per retained seed; returns the
-    best-scoring converged direction, its score and the trace of the winning
-    solve. Raises ``PursuitError`` with all traces when every solve fails.
+    Runs Stage 0 seeding, then per retained seed one rotation solve from
+    x = 0 that turns the lifted seed within the complement of the priors.
+    Returns the best-scoring converged direction, its score and the trace of
+    the winning solve. Raises ``PursuitError`` with all traces when every
+    solve fails.
     """
     X = np.asarray(x_tilde, dtype=float)
     q = X.shape[0]
@@ -170,16 +181,15 @@ def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
 
     seeds, _ = seed_search(factory.contrast, W, X, config.n_seeds,
                            config.retained, rng)
-    problem = factory.component_problem(W, X)
     traces, winners = [], []
     for z0 in seeds:
-        sol = solve(problem, x0=z0, config=config.solver)
+        start = _seed_first(W, z0).T
+        problem = factory.rotation_problem(X, start, moved=1)
+        sol = solve(problem, x0=np.zeros(problem.dim), config=config.solver)
         traces.append(sol.trace)
         if sol.converged:
-            z = sol.x / np.linalg.norm(sol.x)   # polish onto the sphere
-            w = W @ z
-            value, _ = factory.score(w, X)
-            winners.append((value, w, sol.trace))
+            w = cayley_rotation(sol.x, start)[0][0]
+            winners.append((-sol.f, w, sol.trace))
     if not winners:
         raise PursuitError(f"component {k}",
                            f"all {len(seeds)} seed solves failed to converge",
@@ -188,37 +198,39 @@ def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
     return w, value, trace
 
 
-def refine_joint(Q_init: np.ndarray, x_tilde: np.ndarray,
-                 factory: ProblemFactory, config: PursuitConfig
-                 ) -> Tuple[np.ndarray, Optional[SolveTrace], bool]:
+def refine_joint(Q_init: np.ndarray, values_init: np.ndarray,
+                 x_tilde: np.ndarray, factory: ProblemFactory,
+                 config: PursuitConfig
+                 ) -> Tuple[np.ndarray, SolveTrace, bool, np.ndarray]:
     """Joint re-optimization of all directions from the Stage 1 solution.
 
     The directions move on the rotation group, ``Q = C(K) @ Q_init`` with C
-    the Cayley transform of a skew-symmetric K, in one unconstrained solve
-    over the q(q-1)/2 entries of K from K = 0. Orthonormality is structural,
-    so no penalty or multiplier has to enforce it. Cayley reaches every
-    rotation of ``Q_init`` that has no eigenvalue -1, which leaves out only
-    rotations by exactly pi in some plane.
+    the Cayley transform of a skew-symmetric K, in one solve over the
+    q(q-1)/2 entries of K from K = 0. Orthonormality is structural, so no
+    penalty or multiplier has to enforce it. Cayley reaches every rotation
+    of ``Q_init`` that has no eigenvalue -1, which leaves out only rotations
+    by exactly pi in some plane.
 
-    Falls back to the input when the solve does not converge or loses
-    objective value; returns ``(Q, trace, fell_back)`` with the trace of the
-    joint solve.
+    Falls back to the input when the solve does not converge, or when it
+    loses objective against a Stage 1 solution whose every row meets the
+    user constraints to ``eta_con_star``. Takes and returns per-row scores:
+    ``(Q, trace, fell_back, values)`` with the trace of the joint solve.
     """
     X = np.asarray(x_tilde, dtype=float)
     Q_init = np.asarray(Q_init, dtype=float)
-    q = Q_init.shape[0]
-    problem = factory.joint_problem(X, Q_init)
+    problem = factory.rotation_problem(X, Q_init, moved=Q_init.shape[0])
     sol = solve(problem, x0=np.zeros(problem.dim), config=config.solver)
     if not sol.converged:
-        return Q_init, sol.trace, True
-
-    def joint_value(Q):
-        return sum(factory.score(Q[k], X)[0] for k in range(q))
+        return Q_init, sol.trace, True, values_init
 
     Q_new, _ = cayley_rotation(sol.x, Q_init)
-    if joint_value(Q_new) < joint_value(Q_init) - 1e-8:
-        return Q_init, sol.trace, True
-    return Q_new, sol.trace, False
+    values = np.array([factory.score(w, X)[0] for w in Q_new])
+    tol = config.solver.eta_con_star
+    stage1_feasible = all(factory.constraints.violation(w, X) <= tol
+                          for w in Q_init)
+    if stage1_feasible and values.sum() < values_init.sum() - 1e-8:
+        return Q_init, sol.trace, True, values_init
+    return Q_new, sol.trace, False, values
 
 
 def _fix_signs(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -258,10 +270,10 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
 
     joint_trace = None
     fallback = False
-    Q = Q1
+    Q, stage2 = Q1, stage1
     if config.run_stage2 and q >= 2:
-        Q, joint_trace, fallback = refine_joint(Q1, X, factory, config)
-    stage2 = np.array([factory.score(Q[k], X)[0] for k in range(q)])
+        Q, joint_trace, fallback, stage2 = refine_joint(Q1, stage1, X,
+                                                        factory, config)
 
     S = Q @ X
     signs = _fix_signs(Q, S)

@@ -58,6 +58,23 @@ class TestDecompose:
         assert code == 2
         assert not out.exists()
 
+    def test_too_few_channels_to_estimate_q_exit_2(self, tmp_path, capsys):
+        # q cannot be estimated on 4 channels; given, it still decomposes
+        path = tmp_path / "p4.csv"
+        assert main(["gen", "model", "--p", "4", "--q", "2", "--n", "300",
+                     "--sigma", "0.3", "--family", "gamma", "--seed", "1",
+                     "--out", str(path)]) == 0
+        out = tmp_path / "never"
+        assert main(["decompose", "--input", str(path), "--output",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "at least 8 channels" in err and "Traceback" not in err
+        assert not out.exists()
+        ok = tmp_path / "given"
+        assert main(["decompose", "--input", str(path), "--q", "2",
+                     "--output", str(ok)]) == 0
+        assert (ok / "Q.csv").exists()
+
     def test_q_override_recorded_in_manifest(self, fixture_csv, tmp_path):
         out = tmp_path / "q3"
         code = main(["decompose", "--input", str(fixture_csv), "--q", "3",
@@ -216,8 +233,11 @@ class TestLatdim:
     def test_too_few_channels_exit_2(self, tmp_path, capsys):
         path = tmp_path / "small.csv"
         save_matrix_csv(path, np.random.default_rng(0).standard_normal((4, 60)))
-        assert main(["latdim", "--input", str(path)]) == 2
+        out = tmp_path / "never"
+        assert main(["latdim", "--input", str(path), "--output",
+                     str(out)]) == 2
         assert "at least 8 channels" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:

@@ -172,40 +172,45 @@ class TestScores:
 class TestCompose:
     def setup_method(self):
         rng = np.random.default_rng(5)
-        self.X = rng.standard_normal((3, 400))
-        self.W = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2]
+        self.X = rng.standard_normal((4, 400))
+        # three orthonormal rows of R^4: the basis of a deflated complement
+        self.start = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3].T
+        self.factory = ProblemFactory(LogCoshNegentropy())
+
+    def test_component_problem_has_no_constraints(self):
+        # unit norm and orthogonality are structural: no built-in equality
+        problem = self.factory.rotation_problem(self.X, self.start, moved=1)
+        assert problem.dim == 2
+        assert problem.n_eq == 0 and problem.n_ineq == 0
 
     def test_objective_is_negated_contrast(self):
-        factory = ProblemFactory(LogCoshNegentropy())
-        problem = factory.component_problem(self.W, self.X)
-        z = np.array([0.6, 0.8])
-        f, _ = problem.eval_objective(z)
-        J, _ = negentropy(self.W @ z, self.X)
+        problem = self.factory.rotation_problem(self.X, self.start, moved=1)
+        f, _ = problem.eval_objective(np.zeros(2))
+        J, _ = negentropy(self.start[0], self.X)
         assert f == pytest.approx(-J, abs=1e-14)
 
     def test_constant_hook_shifts_objective_only(self):
         kappa = 0.37
-        plain = ProblemFactory(LogCoshNegentropy())
         hooked = ProblemFactory(
             LogCoshNegentropy(), b_hook=lambda w, X: (kappa, np.zeros(w.size)))
-        z = np.array([1.0, 0.0])
-        f0, g0 = plain.component_problem(self.W, self.X).eval_objective(z)
-        f1, g1 = hooked.component_problem(self.W, self.X).eval_objective(z)
+        x = np.array([0.4, -0.3])
+        f0, g0 = self.factory.rotation_problem(
+            self.X, self.start, moved=1).eval_objective(x)
+        f1, g1 = hooked.rotation_problem(
+            self.X, self.start, moved=1).eval_objective(x)
         assert f1 == pytest.approx(f0 - kappa, abs=1e-14)
         np.testing.assert_allclose(g1, g0, atol=1e-14)
 
     def test_component_problem_passes_gradient_audit(self):
-        factory = ProblemFactory(LogCoshNegentropy())
-        problem = factory.component_problem(self.W, self.X)
+        problem = self.factory.rotation_problem(self.X, self.start, moved=1)
         rng = np.random.default_rng(6)
         check_gradients(problem, rng.standard_normal(2))
 
     def test_joint_problem_passes_gradient_audit(self):
-        # the rotation problem at a random skew point, away from K = 0
-        factory = ProblemFactory(LogCoshNegentropy())
+        # the rotation of every row at a random skew point, away from K = 0
         rng = np.random.default_rng(7)
         Q_start = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        problem = factory.joint_problem(self.X, Q_start)
+        problem = self.factory.rotation_problem(self.X[:3], Q_start, moved=3)
         assert problem.dim == 3 and problem.n_eq == 0
         check_gradients(problem, rng.standard_normal(3))
 
@@ -217,16 +222,27 @@ class TestCompose:
         Q, _ = cayley_rotation(3.0 * rng.standard_normal(6), Q_start)
         assert np.max(np.abs(Q @ Q.T - np.eye(4))) <= 1e-12
 
+    def test_cayley_rotation_keeps_rectangular_rows_orthonormal(self):
+        # four orthonormal rows of R^6; three leading entries move row 0,
+        # six move every row; the rows stay in the span of the start
+        rng = np.random.default_rng(10)
+        start = np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :4].T
+        for size in (3, 6):
+            Q, _ = cayley_rotation(3.0 * rng.standard_normal(size), start)
+            assert Q.shape == (4, 6)
+            assert np.max(np.abs(Q @ Q.T - np.eye(4))) <= 1e-12
+            assert np.max(np.abs(Q - Q @ start.T @ start)) <= 1e-12
+
     def test_user_equality_driven_to_tolerance(self):
         # one extra equality: mean absolute projection pinned to a level
-        # reachable on the unit sphere
-        X = self.X
+        # reachable on the unit sphere of R^3
+        X = np.random.default_rng(5).standard_normal((3, 400))
         factory = ProblemFactory(
             LogCoshNegentropy(),
             constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
-        problem = factory.component_problem(np.eye(3)[:, :3], X)
-        sol = solve(problem, x0=np.array([1.0, 0.0, 0.0]),
-                    config=AugLagConfig())
+        problem = factory.rotation_problem(X, np.eye(3), moved=1)
+        assert problem.n_eq == 1
+        sol = solve(problem, x0=np.zeros(2), config=AugLagConfig())
         assert sol.converged
         c, _ = problem.eval_eq(sol.x)
         assert np.max(np.abs(c)) <= 1e-6

@@ -163,6 +163,21 @@ class TestExtractComponent:
         assert trace.final.kkt_grad <= 1e-6
         assert trace.final.kkt_con <= 1e-6
 
+    def test_direction_is_unit_without_projection(self, factory, laplace_xt):
+        # the rotation keeps the direction on the sphere and orthogonal to
+        # the priors; its value is the solver's own objective
+        cfg = PursuitConfig(n_seeds=100, rng_seed=2)
+        rng = np.random.default_rng(3)
+        w1, _, _ = extract_component(1, np.zeros((0, 3)), laplace_xt, factory,
+                                     cfg, rng)
+        w2, value, trace = extract_component(2, np.array([w1]), laplace_xt,
+                                             factory, cfg, rng)
+        assert trace.final.status == "converged"
+        for w in (w1, w2):
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert abs(w1 @ w2) <= 1e-12
+        assert value == negentropy(w2, laplace_xt)[0]
+
     def test_all_failures_carry_traces(self, factory, laplace_xt):
         from dataclasses import replace
         cfg = PursuitConfig(n_seeds=10, retained=2, rng_seed=0)
@@ -221,9 +236,12 @@ class TestRefineJoint:
     def test_joint_local_max_is_fixed_point(self, factory, laplace_xt):
         cfg = PursuitConfig(n_seeds=100, rng_seed=7)
         res = run_stages(laplace_xt, factory, cfg)
-        Q2, trace, fallback = refine_joint(res.Q, laplace_xt, factory, cfg)
+        Q2, trace, fallback, values = refine_joint(
+            res.Q, res.stage2_objectives, laplace_xt, factory, cfg)
         assert not fallback
         assert np.max(np.abs(Q2 - res.Q)) <= 1e-6
+        np.testing.assert_array_equal(
+            values, [negentropy(w, laplace_xt)[0] for w in Q2])
 
     def test_output_orthonormal_per_entry(self, factory, laplace_xt):
         cfg = PursuitConfig(n_seeds=100, rng_seed=8)
@@ -242,18 +260,22 @@ class TestRefineJoint:
         back = SolveTrace.from_jsonl(res.joint_trace.to_jsonl())
         assert back.records == res.joint_trace.records
 
-    def test_user_equality_holds_on_every_row(self, laplace_xt):
+    @pytest.mark.parametrize("rng_seed", [3, 1, 4, 5, 6, 11])
+    def test_user_equality_holds_on_every_row(self, laplace_xt, rng_seed):
+        # the closed-form last Stage 1 row cannot meet the equality, so the
+        # converged joint solution is kept whatever its objective
         constrained = ProblemFactory(
             LogCoshNegentropy(),
             constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
-        cfg = PursuitConfig(n_seeds=100, rng_seed=3)
+        cfg = PursuitConfig(n_seeds=100, rng_seed=rng_seed)
         res = run_stages(laplace_xt, constrained, cfg)
         assert not res.joint_fallback
         assert res.joint_trace.final.status == "converged"
         for w in res.Q:
             c, _ = mean_abs(0.75)(w, laplace_xt)
             assert abs(c[0]) <= 1e-6
-        problem = constrained.joint_problem(laplace_xt, res.Q_stage1)
+        problem = constrained.rotation_problem(laplace_xt, res.Q_stage1,
+                                               moved=3)
         assert problem.n_eq == 3
         check_gradients(problem, np.random.default_rng(9).standard_normal(3))
 
