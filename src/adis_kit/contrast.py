@@ -245,6 +245,16 @@ class ProblemFactory:
                           name="pursuit-rotation")
 
 
+@lru_cache(maxsize=None)
+def _triu_pairs(r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major index pairs of the strict upper triangle of an r x r
+    matrix, built once per r and read-only."""
+    rows, cols = np.triu_indices(r, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def cayley_rotation(x: np.ndarray, start: np.ndarray
                     ) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Rotate the r orthonormal rows of the r x q ``start`` by the Cayley
@@ -262,7 +272,7 @@ def cayley_rotation(x: np.ndarray, start: np.ndarray
     with ``M = (I - K/2)^{-T} G start' (C + I)' / 2``.
     """
     r = start.shape[0]
-    rows, cols = np.triu_indices(r, 1)
+    rows, cols = _triu_pairs(r)
     iu = rows[:x.size], cols[:x.size]
     K = np.zeros((r, r))
     K[iu] = x
