@@ -9,7 +9,9 @@ and asks the inner solver for a point whose projected-gradient norm meets a
 running tolerance. Feasibility progress drives the multiplier update and the
 tolerance schedule; an unsolvable subproblem lowers ``mu`` and retries.
 Inequalities are converted to equalities with nonnegative slacks up front, so
-the inner problem is always bound-constrained.
+the inner problem is always bound-constrained. Each point is evaluated once:
+an inner solve starts from the raw data the outer loop holds for its
+iterate, and only the final KKT stamp evaluates again, independently.
 
 Every inner iteration appends one diagnostics record; the final record is
 stamped with penalty-free KKT residuals. A solve that takes no iteration
@@ -117,16 +119,26 @@ def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lower: np.ndarray,
     return float(np.max(np.abs(step))) if step.size else 0.0
 
 
+def evaluate_raw(problem: NlpProblem, x: np.ndarray) -> RawEval:
+    f, g = problem.eval_objective(x)
+    c, J = problem.eval_eq(x)
+    return RawEval(f=f, g=g, c=c, J=J)
+
+
+def aug_lag_merit(raw: RawEval, lam: np.ndarray, mu: float
+                  ) -> Tuple[float, np.ndarray, RawEval]:
+    """Merit value, its gradient and the raw data, from data already held."""
+    value = raw.f - float(lam @ raw.c) + 0.5 * mu * float(raw.c @ raw.c)
+    grad = raw.g - raw.J.T @ (lam - mu * raw.c)
+    return value, grad, raw
+
+
 def make_aug_lag_model(problem: NlpProblem, lam: np.ndarray, mu: float
                        ) -> Callable[[np.ndarray], Tuple[float, np.ndarray, RawEval]]:
     """Closure evaluating the merit function, its gradient and raw data."""
 
     def model(x: np.ndarray):
-        f, g = problem.eval_objective(x)
-        c, J = problem.eval_eq(x)
-        value = f - float(lam @ c) + 0.5 * mu * float(c @ c)
-        grad = g - J.T @ (lam - mu * c)
-        return value, grad, RawEval(f=f, g=g, c=c, J=J)
+        return aug_lag_merit(evaluate_raw(problem, x), lam, mu)
 
     return model
 
@@ -134,17 +146,20 @@ def make_aug_lag_model(problem: NlpProblem, lam: np.ndarray, mu: float
 def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray, eta_grad: float, j_max: int, qn,
                 delta0: float = DELTA0, rho_accept: float = RHO_ACCEPT,
-                on_iteration: Optional[Callable] = None) -> InnerResult:
+                on_iteration: Optional[Callable] = None,
+                start_eval: Optional[Tuple[float, np.ndarray, object]] = None
+                ) -> InnerResult:
     """Bound-constrained minimization of a model by projected Cauchy steps
     plus subspace CG refinement inside an inf-norm trust region.
 
-    ``model(x)`` returns ``(value, gradient, payload)``. The quasi-Newton
-    state ``qn`` is updated at every iteration, accepted or not. Success means
-    the projected-gradient norm reached ``eta_grad`` within ``j_max``
-    iterations.
+    ``model(x)`` returns ``(value, gradient, payload)``. ``start_eval``, when
+    given, is that triple at the (projected) start point, which is then not
+    evaluated again. The quasi-Newton state ``qn`` is updated at every
+    iteration, accepted or not. Success means the projected-gradient norm
+    reached ``eta_grad`` within ``j_max`` iterations.
     """
     x = project_box(np.asarray(x_start, dtype=float), lower, upper)
-    value, grad, payload = model(x)
+    value, grad, payload = start_eval if start_eval is not None else model(x)
     pg = projected_gradient_norm(x, grad, lower, upper)
     if pg <= eta_grad:
         return InnerResult(x=x, success=True, iterations=0, payload=payload)
@@ -233,13 +248,14 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     eta_con = mu ** -0.1
     eta_grad = 1.0 / mu
 
-    _, g0 = prob.eval_objective(x)
-    gamma = max(1.0, float(np.max(np.abs(g0))) if g0.size else 1.0)
+    # the raw data at the current outer iterate x: each inner solve starts
+    # from it, so no point is evaluated twice
+    ev = evaluate_raw(prob, x)
+    gamma = max(1.0, float(np.max(np.abs(ev.g))) if ev.g.size else 1.0)
     qn = make_quasi_newton(cfg.qn_kind, prob.dim, gamma, cfg.lm_memory)
 
     trace = SolveTrace()
     status = SolveStatus.MAX_ITERATIONS
-    ev: Optional[RawEval] = None
     n_inner_total = 0
     outer_done = 0
 
@@ -261,7 +277,8 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
         while True:
             res = inner_solve(make_aug_lag_model(prob, lam, mu), x,
                               prob.lower, prob.upper, eta_grad, cfg.j_max, qn,
-                              on_iteration=on_iter)
+                              on_iteration=on_iter,
+                              start_eval=aug_lag_merit(ev, lam, mu))
             n_inner_total += res.iterations
             if res.success:
                 x = res.x
@@ -298,11 +315,11 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     if not trace.records:
         # the start point met the tolerances (or no step was ever taken):
         # one zero-iteration record carries the final KKT stamp
-        L, grad, raw = make_aug_lag_model(prob, lam, mu)(x)
+        L, grad, _ = aug_lag_merit(ev, lam, mu)
         trace.append(TraceRecord(
-            outer=outer_done - 1, inner=0, f=raw.f, lagrangian=L,
+            outer=outer_done - 1, inner=0, f=ev.f, lagrangian=L,
             pg_norm=projected_gradient_norm(x, grad, prob.lower, prob.upper),
-            c_norm=raw.c_norm,
+            c_norm=ev.c_norm,
             lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
             mu=mu, delta=DELTA0, rho=None, accepted=True,
             qn_skipped=False, eta_con=eta_con, eta_grad=eta_grad))
@@ -311,10 +328,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     kkt_grad_final, kkt_con_final = kkt_residual(prob, x, lam)
     trace.stamp_final(status.value, kkt_grad_final, kkt_con_final)
 
-    if ev is None:  # pragma: no cover - max_outer >= 1 guarantees ev
-        f_final = prob.eval_objective(x)[0]
-    else:
-        f_final = ev.f
+    f_final = ev.f
     if converted:
         n0 = problem.dim
         return NlpSolution(x=x[:n0], lam=lam, f=f_final, status=status,

@@ -225,6 +225,37 @@ class TestOuterSolve:
         assert final.inner == 0 and final.status == "converged"
         assert final.kkt_grad == 0.0 and final.kkt_con == 0.0
 
+    @pytest.mark.parametrize("problem, x0", [
+        (NlpProblem(dim=3, objective=lambda x: (
+            float((x - 1.0) @ (x - 1.0) + x[0] ** 4),
+            2 * (x - 1.0) + np.array([4 * x[0] ** 3, 0.0, 0.0]))),
+         np.zeros(3)),
+        (NlpProblem(dim=2, objective=lambda x: (float(x @ x), 2 * x),
+                    eq_constraints=lambda x: (np.array([x[0] * x[1] - 1.0]),
+                                              np.array([[x[1], x[0]]])),
+                    n_eq=1),
+         np.array([3.0, -2.0])),
+        (NlpProblem(dim=2, objective=lambda x: (float(x @ x), 2 * x)),
+         np.zeros(2)),
+    ], ids=["unconstrained", "equality", "start-at-optimum"])
+    def test_one_objective_evaluation_per_point(self, problem, x0,
+                                                monkeypatch):
+        # the start point once, each trial point once, and the independent
+        # KKT stamp once: no inner solve re-evaluates its start point
+        calls = []
+        original = NlpProblem.eval_objective
+
+        def counted(self, x):
+            calls.append(np.array(x))
+            return original(self, x)
+
+        monkeypatch.setattr(NlpProblem, "eval_objective", counted)
+        sol = solve(problem, x0=x0)
+        assert sol.converged
+        trials = sum(rec.inner >= 1 for rec in sol.trace.records)
+        assert len(calls) == 1 + trials + 1
+        np.testing.assert_array_equal(calls[-1], sol.x)
+
     def test_max_iterations_status(self):
         p = NlpProblem(
             dim=2,
