@@ -104,8 +104,9 @@ def seed_search(contrast: ContrastFn, w_basis: np.ndarray,
 
     Draws uniform entries on (-1, 1), normalizes each draw, scores the
     lifted directions with ``contrast.scores`` and returns the ``retained``
-    reduced vectors with the highest scores (ties keep the lower draw index).
-    Returns ``(seeds, scores)`` with seeds as rows.
+    reduced vectors with the highest scores (ties keep the lower draw index),
+    so for the same ``rng`` a smaller ``retained`` gives a prefix of the
+    larger ranking. Returns ``(seeds, scores)`` with seeds as rows.
     """
     W = np.asarray(w_basis, dtype=float)
     X = np.asarray(x_tilde, dtype=float)
@@ -166,9 +167,11 @@ def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
 
     Runs Stage 0 seeding, then per retained seed one rotation solve from
     x = 0 that turns the lifted seed within the complement of the priors.
-    Returns the best-scoring converged direction, its score and the trace of
-    the winning solve. Raises ``PursuitError`` with all traces when every
-    solve fails.
+    When every solve of the ``retained`` best seeds fails, the next
+    ``retained`` seeds of the same Stage 0 ranking are tried, and so on,
+    until a chunk has a converged solve. Returns the best-scoring converged
+    direction of that chunk, its score and the trace of the winning solve.
+    Raises ``PursuitError`` with all traces when the ranking is used up.
     """
     X = np.asarray(x_tilde, dtype=float)
     q = X.shape[0]
@@ -179,20 +182,24 @@ def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
         return _closed_form_last_component(factory, W, X,
                                            config.solver.eta_con_star)
 
-    seeds, _ = seed_search(factory.contrast, W, X, config.n_seeds,
-                           config.retained, rng)
+    ranking, _ = seed_search(factory.contrast, W, X, config.n_seeds,
+                             config.n_seeds, rng)
     traces, winners = [], []
-    for z0 in seeds:
-        start = _seed_first(W, z0).T
-        problem = factory.rotation_problem(X, start, moved=1)
-        sol = solve(problem, x0=np.zeros(problem.dim), config=config.solver)
-        traces.append(sol.trace)
-        if sol.converged:
-            w = cayley_rotation(sol.x, start)[0][0]
-            winners.append((-sol.f, w, sol.trace))
-    if not winners:
+    for first in range(0, len(ranking), config.retained):
+        for z0 in ranking[first:first + config.retained]:
+            start = _seed_first(W, z0).T
+            problem = factory.rotation_problem(X, start, moved=1)
+            sol = solve(problem, x0=np.zeros(problem.dim),
+                        config=config.solver)
+            traces.append(sol.trace)
+            if sol.converged:
+                w = cayley_rotation(sol.x, start)[0][0]
+                winners.append((-sol.f, w, sol.trace))
+        if winners:
+            break
+    else:
         raise PursuitError(f"component {k}",
-                           f"all {len(seeds)} seed solves failed to converge",
+                           f"all {len(traces)} seed solves failed to converge",
                            traces)
     value, w, trace = max(winners, key=lambda t: t[0])
     return w, value, trace

@@ -77,6 +77,18 @@ class TestSeedSearch:
                                     np.random.default_rng(4))
         assert seeds.shape == (20, 3)
 
+    @pytest.mark.parametrize("retained", [1, 2, 7])
+    def test_retained_seeds_are_a_prefix_of_the_ranking(self, factory,
+                                                         laplace_xt, retained):
+        # extract_component walks on through the same ranking in chunks
+        W = orthonormal_complement(np.zeros((0, 3)), 3)
+        full = seed_search(factory.contrast, W, laplace_xt, 60, 60,
+                           np.random.default_rng(5))
+        head = seed_search(factory.contrast, W, laplace_xt, 60, retained,
+                           np.random.default_rng(5))
+        for part, whole in zip(head, full):
+            np.testing.assert_array_equal(part, whole[:retained])
+
     def test_seeded_determinism(self, factory, laplace_xt):
         W = np.eye(3)
         s1, v1 = seed_search(factory.contrast, W, laplace_xt, 100, 5,
@@ -179,14 +191,44 @@ class TestExtractComponent:
         assert value == negentropy(w2, laplace_xt)[0]
 
     def test_all_failures_carry_traces(self, factory, laplace_xt):
+        # every seed of the ranking is tried before giving up, one trace each
         from dataclasses import replace
         cfg = PursuitConfig(n_seeds=10, retained=2, rng_seed=0)
         cfg.solver = replace(cfg.solver, max_outer=1, j_max=1)
         with pytest.raises(PursuitError) as info:
             extract_component(1, np.zeros((0, 3)), laplace_xt, factory, cfg,
                               np.random.default_rng(8))
-        assert len(info.value.traces) == 2
+        assert len(info.value.traces) == 10
         assert "component 1" in str(info.value)
+
+    @pytest.mark.parametrize("rng_seed", [24, 30, 35, 51])
+    def test_constrained_seeds_walk_on_past_failed_solves(self, laplace_xt,
+                                                          rng_seed,
+                                                          monkeypatch):
+        # both retained seeds of a component sit where the user equality is
+        # stationary; the next seeds of the ranking converge
+        import adis_kit.pursuit as pursuit
+        statuses = []
+        original = pursuit.solve
+
+        def recorded(*args, **kwargs):
+            sol = original(*args, **kwargs)
+            statuses.append(sol.converged)
+            return sol
+
+        monkeypatch.setattr(pursuit, "solve", recorded)
+        constrained = ProblemFactory(
+            LogCoshNegentropy(),
+            constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
+        cfg = PursuitConfig(n_seeds=100, rng_seed=rng_seed, run_stage2=False)
+        res = run_stages(laplace_xt, constrained, cfg)
+        # two solved components, so more than 2 * retained solves means a
+        # whole chunk failed and the walk went on
+        assert len(statuses) > 2 * cfg.retained
+        assert statuses.count(False) >= cfg.retained
+        for w, trace in zip(res.Q_stage1[:2], res.component_traces[:2]):
+            assert trace.final.status == "converged"
+            assert abs(mean_abs(0.75)(w, laplace_xt)[0][0]) <= 1e-6
 
 
 class TestRunStages:
