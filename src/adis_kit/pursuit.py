@@ -36,8 +36,12 @@ class PursuitError(RuntimeError):
 
 @dataclass
 class PursuitConfig:
-    n_seeds: int = 1000          # random starts scored in Stage 0
-    retained: int = 2            # seeds carried into Stage 1 solves
+    # random starts scored in Stage 0. From 50 to 1000 seeds, the returned
+    # Stage 1+2 solutions score the same (README, "Stage 0 seed budget");
+    # 100 is the least that also keeps the Stage 1 optimum of the noisy
+    # benchmark workload.
+    n_seeds: int = 100
+    retained: int = 2            # seeds per chunk of Stage 1 solves
     run_stage2: bool = True
     rng_seed: int = 0
     solver: AugLagConfig = field(default_factory=AugLagConfig)
