@@ -1,9 +1,10 @@
 """Multistage source extraction.
 
-Stage 0 scatters random unit vectors over the feasible manifold and keeps the
-best-scoring few as seeds. Stage 1 extracts one direction at a time by
-rotating a seed inside an orthonormal basis of the complement of the earlier
-directions. Stage 2 re-optimizes all directions jointly by rotating the
+Stage 0 scatters random unit vectors over the feasible manifold and ranks
+them by the contrast. Stage 1 extracts one direction at a time by rotating a
+seed inside an orthonormal basis of the complement of the earlier
+directions, solving the best few seeds and moving down the ranking only when
+all of them fail. Stage 2 re-optimizes all directions jointly by rotating the
 Stage 1 solution, ``Q = C(K) @ Q_stage1`` with C the Cayley transform of a
 skew-symmetric K. Both stages solve ``ProblemFactory.rotation_problem``, so
 unit norm and orthogonality are structural and the solver's constraints are
