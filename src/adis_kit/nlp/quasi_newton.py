@@ -10,6 +10,7 @@ compact representation and avoids its middle-matrix degeneracies.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Tuple
 
@@ -19,37 +20,52 @@ SR1_SKIP_FACTOR = 1e-8
 BFGS_CURVATURE_FLOOR = 1e-12
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a vector, bit for bit, without its dispatch."""
+    return math.sqrt(float(v.dot(v)))
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.outer(a, b)`` of two vectors, bit for bit."""
+    return a[:, None] * b
+
+
 def sr1_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
                skip_factor: float = SR1_SKIP_FACTOR) -> Tuple[np.ndarray, bool]:
     """One symmetric rank-1 update; skipped when the denominator is unsafe."""
-    w = y - B @ s
-    den = float(w @ s)
-    if abs(den) <= skip_factor * np.linalg.norm(s) * np.linalg.norm(w):
+    w = y - B.dot(s)
+    den = float(w.dot(s))
+    if abs(den) <= skip_factor * _norm(s) * _norm(w):
         return B, False
-    return B + np.outer(w, w) / den, True
+    return B + _outer(w, w) / den, True
 
 
 def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
                 curvature_floor: float = BFGS_CURVATURE_FLOOR
                 ) -> Tuple[np.ndarray, bool]:
     """One BFGS update; skipped when s'y fails the curvature floor."""
-    ys = float(y @ s)
-    if ys <= curvature_floor * np.linalg.norm(s) * np.linalg.norm(y):
+    ys = float(y.dot(s))
+    if ys <= curvature_floor * _norm(s) * _norm(y):
         return B, False
-    Bs = B @ s
-    sBs = float(s @ Bs)
+    Bs = B.dot(s)
+    sBs = float(s.dot(Bs))
     if sBs <= 0.0:
         return B, False
-    return B + np.outer(y, y) / ys - np.outer(Bs, Bs) / sBs, True
+    return B + _outer(y, y) / ys - _outer(Bs, Bs) / sBs, True
+
+
+def _check_pair(s, y) -> Tuple[np.ndarray, np.ndarray]:
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if float(s.dot(s)) == 0.0:
+        raise ValueError("zero step")
+    return s, y
 
 
 def quasi_newton_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
                         kind: str = "sr1") -> Tuple[np.ndarray, bool]:
     """Functional update entry point; ``kind`` is ``"sr1"`` or ``"bfgs"``."""
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.linalg.norm(s) == 0.0:
-        raise ValueError("zero step")
+    s, y = _check_pair(s, y)
     kind = kind.lower()
     if kind == "sr1":
         return sr1_update(np.asarray(B, dtype=float), s, y)
@@ -77,7 +93,9 @@ class DenseQuasiNewton:
         return obj
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
-        self._B, applied = quasi_newton_update(self._B, s, y, self.kind)
+        s, y = _check_pair(s, y)
+        rule = sr1_update if self.kind == "sr1" else bfgs_update
+        self._B, applied = rule(self._B, s, y)
         if applied:
             self.n_applied += 1
         else:

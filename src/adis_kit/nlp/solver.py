@@ -21,6 +21,7 @@ records its start point, so every trace ends in a stamped record.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -115,8 +116,9 @@ class InnerResult:
 
 def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lower: np.ndarray,
                             upper: np.ndarray) -> float:
-    step = x - project_box(x - g, lower, upper)
-    return float(np.max(np.abs(step))) if step.size else 0.0
+    """Inf-norm of ``x - P(x - g)``; all four arrays share one shape."""
+    step = x - np.minimum(np.maximum(x - g, lower), upper)
+    return float(np.abs(step).max()) if step.size else 0.0
 
 
 def evaluate_raw(problem: NlpProblem, x: np.ndarray) -> RawEval:
@@ -170,40 +172,45 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
         lo = np.maximum(lower - x, -delta)
         hi = np.minimum(upper - x, delta)
         cp = cauchy_point(B, grad, lo, hi)
-        step = cp.p
+        p = step = cp.p
         free = ~cp.active
-        if np.any(free):
-            g_red = (grad + B @ cp.p)[free]
-            B_red = B[np.ix_(free, free)]
-            v_lo = np.minimum(lo[free] - cp.p[free], 0.0)
-            v_hi = np.maximum(hi[free] - cp.p[free], 0.0)
-            gr_norm = float(np.linalg.norm(g_red))
+        n_free = np.count_nonzero(free)
+        if n_free:
+            if n_free == p.size:
+                # most steps: every variable is free, so index nothing
+                free, B_red = slice(None), B
+            else:
+                B_red = B[np.ix_(free, free)]
+            g_red = (grad + B.dot(p))[free]
+            v_lo = np.minimum(lo[free] - p[free], 0.0)
+            v_hi = np.maximum(hi[free] - p[free], 0.0)
+            gr_norm = math.sqrt(float(g_red.dot(g_red)))
             if gr_norm > 0.0:
-                tol = min(0.1, np.sqrt(gr_norm))
+                tol = min(0.1, math.sqrt(gr_norm))
                 v = steihaug_cg(B_red, g_red, delta=np.inf, tol=tol,
                                 box=(v_lo, v_hi), abs_tol=0.5 * eta_grad)
-                step = cp.p.copy()
+                step = p.copy()
                 step[free] += v
 
-        step_norm = float(np.max(np.abs(step)))
-        if step_norm < 1e-15 * (1.0 + float(np.max(np.abs(x)))):
+        step_norm = float(np.abs(step).max())
+        if step_norm < 1e-15 * (1.0 + float(np.abs(x).max())):
             # the model admits no feasible descent; give the outer loop a
             # chance to change the subproblem
             return InnerResult(x=x, success=False, iterations=j, payload=payload)
 
-        predicted = -(float(grad @ step) + 0.5 * float(step @ (B @ step)))
-        x_trial = project_box(x + step, lower, upper)
+        predicted = -(float(grad.dot(step)) + 0.5 * float(step.dot(B.dot(step))))
+        x_trial = np.minimum(np.maximum(x + step, lower), upper)
         value_trial, grad_trial, payload_trial = model(x_trial)
         actual = value - value_trial
         rho = actual / predicted if predicted > 0 else -np.inf
         accepted = rho > rho_accept
 
-        delta = trust_region_update(rho if np.isfinite(rho) else -1.0, step, delta)
+        delta = trust_region_update(rho if math.isfinite(rho) else -1.0, step, delta)
         applied = qn.update(x_trial - x, grad_trial - grad)
 
         if accepted:
             x, value, grad, payload = x_trial, value_trial, grad_trial, payload_trial
-        pg = projected_gradient_norm(x, grad, lower, upper)
+            pg = projected_gradient_norm(x, grad, lower, upper)
 
         if on_iteration is not None:
             on_iteration(j, x, value, grad, pg, delta, rho, accepted,

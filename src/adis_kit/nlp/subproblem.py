@@ -9,10 +9,17 @@ inf-norm trust region (itself a box). The Cauchy point is the first local
 minimizer of the model along the projected steepest-descent path; the step is
 then refined by conjugate gradients on the free subspace, truncated at the
 box boundary or at negative curvature.
+
+The problems are small (one to a few hundred variables), so the cost of these
+kernels is the number of numpy calls, not the arithmetic: each loop does its
+vector work in as few calls as give the same floating-point operations in the
+same order. Products use ``ndarray.dot``, which makes the same BLAS call as
+``@`` on these contiguous arrays with less dispatch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -30,8 +37,8 @@ def trust_region_update(rho: float, step: np.ndarray, delta: float) -> float:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    step_norm = float(np.max(np.abs(step))) if np.size(step) else 0.0
     if rho > 0.75:
+        step_norm = float(np.abs(step).max()) if np.size(step) else 0.0
         if step_norm > 0.8 * delta:
             return 2.0 * delta
         return delta
@@ -55,31 +62,29 @@ def cauchy_point(B: np.ndarray, g: np.ndarray, lo: np.ndarray,
     freezing components as they reach their bounds. ``lo <= 0 <= hi``
     componentwise is required (the zero step must be feasible).
     """
-    n = g.size
-    p = np.zeros(n)
-    d = -g.copy()
-    # components already pinned at a face with an outward direction never move
-    d[(lo >= -ACTIVE_TOL) & (d < 0)] = 0.0
-    d[(hi <= ACTIVE_TOL) & (d > 0)] = 0.0
+    p = np.zeros(g.size)
+    d = -g
+    # distance from 0 to the face each component moves towards
+    room = -lo
+    np.copyto(room, hi, where=d > 0)
+    # components already pinned at that face never move
+    d[room <= ACTIVE_TOL] = 0.0
+    # breakpoints hi/d or lo/d; inf where d == 0 (inf / 0 is inf, exactly
+    # and without a floating-point warning)
+    room[d == 0] = np.inf
+    t_hit = room / np.abs(d)
 
-    # breakpoint of each component along d
-    t_hit = np.full(n, np.inf)
-    pos = d > 0
-    neg = d < 0
-    t_hit[pos] = hi[pos] / d[pos]
-    t_hit[neg] = lo[neg] / d[neg]
-
-    Bp = np.zeros(n)          # B @ p, maintained incrementally
-    Bd = B @ d                # B @ d, downdated when components freeze
+    Bp = None                 # B @ p, maintained from the first breakpoint on
+    Bd = B.dot(d)             # B @ d, downdated when components freeze
     t = 0.0
     decrease = 0.0
-    moving = d != 0.0
 
-    while np.any(moving):
-        t_next = np.min(t_hit[moving])
-        seg = min(t_next, np.inf) - t
-        f1 = float(g @ d + Bp @ d)      # d/dt of the model at segment start
-        f2 = float(d @ Bd)              # curvature along d
+    while np.count_nonzero(d):
+        t_next = t_hit.min()
+        seg = t_next - t
+        # d/dt of the model at segment start; p = 0 on the first segment
+        f1 = float(g.dot(d)) if Bp is None else float(g.dot(d) + Bp.dot(d))
+        f2 = float(d.dot(Bd))           # curvature along d
         if f1 >= 0.0:
             break
         if f2 > 0.0:
@@ -87,24 +92,20 @@ def cauchy_point(B: np.ndarray, g: np.ndarray, lo: np.ndarray,
             if t_star < seg:
                 p = p + t_star * d
                 decrease += -(f1 * t_star + 0.5 * f2 * t_star * t_star)
-                Bp = Bp + t_star * Bd
-                t += t_star
                 break
-        if not np.isfinite(t_next):
+        if not math.isfinite(t_next):
             # unbounded segment with nonpositive curvature cannot occur in a
             # bounded box; guard anyway
             break
         p = p + seg * d
         decrease += -(f1 * seg + 0.5 * f2 * seg * seg)
-        Bp = Bp + seg * Bd
+        Bp = seg * Bd if Bp is None else Bp + seg * Bd
         t = t_next
-        frozen = moving & (t_hit <= t_next + ACTIVE_TOL * (1 + t_next))
-        for i in np.flatnonzero(frozen):
+        for i in np.flatnonzero(t_hit <= t_next + ACTIVE_TOL * (1 + t_next)):
             p[i] = hi[i] if d[i] > 0 else lo[i]
             Bd = Bd - B[:, i] * d[i]
             d[i] = 0.0
             t_hit[i] = np.inf
-            moving[i] = False
 
     active = (p <= lo + ACTIVE_TOL * (1.0 + np.abs(lo))) | \
              (p >= hi - ACTIVE_TOL * (1.0 + np.abs(hi))) | (lo == hi)
@@ -114,14 +115,9 @@ def cauchy_point(B: np.ndarray, g: np.ndarray, lo: np.ndarray,
 def _max_step_in_box(v: np.ndarray, d: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray) -> float:
     """Largest alpha >= 0 with v + alpha d inside [lo, hi]."""
-    alpha = np.inf
-    pos = d > 0
-    neg = d < 0
-    if np.any(pos):
-        alpha = min(alpha, float(np.min((hi[pos] - v[pos]) / d[pos])))
-    if np.any(neg):
-        alpha = min(alpha, float(np.min((lo[neg] - v[neg]) / d[neg])))
-    return max(alpha, 0.0)
+    alpha = np.divide(np.where(d > 0, hi - v, lo - v), d,
+                      out=np.full(d.size, np.inf), where=d != 0)
+    return max(float(alpha.min()), 0.0)
 
 
 def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
@@ -141,15 +137,19 @@ def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
     n = g.size
     B = np.asarray(B, dtype=float)
 
-    lo = np.full(n, -delta)
-    hi = np.full(n, delta)
-    if box is not None:
-        lo = np.maximum(lo, np.asarray(box[0], dtype=float))
-        hi = np.minimum(hi, np.asarray(box[1], dtype=float))
+    if box is None:
+        lo = np.full(n, -delta)
+        hi = np.full(n, delta)
+    else:
+        lo = np.maximum(-delta, np.asarray(box[0], dtype=float))
+        hi = np.minimum(delta, np.asarray(box[1], dtype=float))
     lo = np.minimum(lo, 0.0)
     hi = np.maximum(hi, 0.0)
 
-    gnorm = np.linalg.norm(g)
+    # ||r|| is taken as sqrt(r'r), which is what np.linalg.norm computes, so
+    # the dot product CG needs anyway gives the norm too
+    rr = float(g.dot(g))
+    gnorm = math.sqrt(rr)
     if gnorm == 0.0:
         return np.zeros(n)
     threshold = tol * gnorm
@@ -159,23 +159,21 @@ def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
         max_iter = 2 * n + 5
 
     v = np.zeros(n)
-    r = g.copy()                 # residual of the model gradient Bv + g
+    r = g                        # residual of the model gradient Bv + g
     d = -r
-    rr = float(r @ r)
     for _ in range(max_iter):
-        Bd = B @ d
-        kappa = float(d @ Bd)
-        if kappa <= 0.0:
-            return v + _max_step_in_box(v, d, lo, hi) * d
-        alpha = rr / kappa
+        Bd = B.dot(d)
+        kappa = float(d.dot(Bd))
         alpha_max = _max_step_in_box(v, d, lo, hi)
-        if alpha >= alpha_max:
+        if kappa <= 0.0 or rr / kappa >= alpha_max:
+            # negative curvature, or the minimizer along d is outside the box
             return v + alpha_max * d
+        alpha = rr / kappa
         v = v + alpha * d
         r = r + alpha * Bd
-        if np.linalg.norm(r) <= threshold:
+        rr_new = float(r.dot(r))
+        if math.sqrt(rr_new) <= threshold:
             return v
-        rr_new = float(r @ r)
-        d = -r + (rr_new / rr) * d
+        d = (rr_new / rr) * d - r
         rr = rr_new
     return v

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adis_kit.nlp import cauchy_point, steihaug_cg, trust_region_update
+from adis_kit.nlp.subproblem import ACTIVE_TOL
 
 
 class TestTrustRegionUpdate:
@@ -144,3 +145,186 @@ class TestCauchyPoint:
             model = g @ cp.p + 0.5 * cp.p @ B @ cp.p
             assert model <= 1e-12
             assert cp.model_decrease == pytest.approx(-model, abs=1e-10)
+
+
+# The kernels as they were before they were rewritten for fewer numpy calls:
+# the rewrite must give the same bits, so these stay as the reference.
+
+def _reference_cauchy_point(B, g, lo, hi):
+    n = g.size
+    p = np.zeros(n)
+    d = -g.copy()
+    d[(lo >= -ACTIVE_TOL) & (d < 0)] = 0.0
+    d[(hi <= ACTIVE_TOL) & (d > 0)] = 0.0
+
+    t_hit = np.full(n, np.inf)
+    pos = d > 0
+    neg = d < 0
+    t_hit[pos] = hi[pos] / d[pos]
+    t_hit[neg] = lo[neg] / d[neg]
+
+    Bp = np.zeros(n)
+    Bd = B @ d
+    t = 0.0
+    decrease = 0.0
+    moving = d != 0.0
+
+    while np.any(moving):
+        t_next = np.min(t_hit[moving])
+        seg = min(t_next, np.inf) - t
+        f1 = float(g @ d + Bp @ d)
+        f2 = float(d @ Bd)
+        if f1 >= 0.0:
+            break
+        if f2 > 0.0:
+            t_star = -f1 / f2
+            if t_star < seg:
+                p = p + t_star * d
+                decrease += -(f1 * t_star + 0.5 * f2 * t_star * t_star)
+                Bp = Bp + t_star * Bd
+                t += t_star
+                break
+        if not np.isfinite(t_next):
+            break
+        p = p + seg * d
+        decrease += -(f1 * seg + 0.5 * f2 * seg * seg)
+        Bp = Bp + seg * Bd
+        t = t_next
+        frozen = moving & (t_hit <= t_next + ACTIVE_TOL * (1 + t_next))
+        for i in np.flatnonzero(frozen):
+            p[i] = hi[i] if d[i] > 0 else lo[i]
+            Bd = Bd - B[:, i] * d[i]
+            d[i] = 0.0
+            t_hit[i] = np.inf
+            moving[i] = False
+
+    active = (p <= lo + ACTIVE_TOL * (1.0 + np.abs(lo))) | \
+             (p >= hi - ACTIVE_TOL * (1.0 + np.abs(hi))) | (lo == hi)
+    return p, active, float(decrease)
+
+
+def _reference_max_step_in_box(v, d, lo, hi):
+    alpha = np.inf
+    pos = d > 0
+    neg = d < 0
+    if np.any(pos):
+        alpha = min(alpha, float(np.min((hi[pos] - v[pos]) / d[pos])))
+    if np.any(neg):
+        alpha = min(alpha, float(np.min((lo[neg] - v[neg]) / d[neg])))
+    return max(alpha, 0.0)
+
+
+def _reference_steihaug_cg(B, g, delta, tol=0.1, box=None, max_iter=None,
+                           abs_tol=0.0):
+    g = np.asarray(g, dtype=float)
+    n = g.size
+    B = np.asarray(B, dtype=float)
+    lo = np.full(n, -delta)
+    hi = np.full(n, delta)
+    if box is not None:
+        lo = np.maximum(lo, np.asarray(box[0], dtype=float))
+        hi = np.minimum(hi, np.asarray(box[1], dtype=float))
+    lo = np.minimum(lo, 0.0)
+    hi = np.maximum(hi, 0.0)
+
+    gnorm = np.linalg.norm(g)
+    if gnorm == 0.0:
+        return np.zeros(n)
+    threshold = tol * gnorm
+    if abs_tol > 0.0:
+        threshold = min(threshold, abs_tol)
+    if max_iter is None:
+        max_iter = 2 * n + 5
+
+    v = np.zeros(n)
+    r = g.copy()
+    d = -r
+    rr = float(r @ r)
+    for _ in range(max_iter):
+        Bd = B @ d
+        kappa = float(d @ Bd)
+        if kappa <= 0.0:
+            return v + _reference_max_step_in_box(v, d, lo, hi) * d
+        alpha = rr / kappa
+        alpha_max = _reference_max_step_in_box(v, d, lo, hi)
+        if alpha >= alpha_max:
+            return v + alpha_max * d
+        v = v + alpha * d
+        r = r + alpha * Bd
+        if np.linalg.norm(r) <= threshold:
+            return v
+        rr_new = float(r @ r)
+        d = -r + (rr_new / rr) * d
+        rr = rr_new
+    return v
+
+
+def _random_subproblem(seed):
+    """A small trust-region subproblem with every kind of bound the solver
+    builds: one-sided, infinite and pinned variable bounds, faces within
+    ACTIVE_TOL of zero, and zero gradient entries. Returns the variable
+    bounds shifted to the current point (which may be infinite) and the
+    finite box ``lo, hi`` they leave inside the radius ``delta``, as
+    ``inner_solve`` builds it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    M = rng.standard_normal((n, n))
+    if seed % 3 == 0:
+        B = M @ M.T + 0.1 * np.eye(n)
+    else:
+        B = (M + M.T) / 2          # indefinite
+    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1)
+    g[rng.random(n) < 0.2] = 0.0
+    delta = float(rng.uniform(0.05, 3.0))
+    lower = -rng.uniform(0.0, 2.0 * delta, size=n)
+    upper = rng.uniform(0.0, 2.0 * delta, size=n)
+    kind = rng.integers(0, 6, size=n)
+    lower[kind == 1] = -np.inf               # one-sided
+    upper[kind == 2] = np.inf                # one-sided
+    lower[kind == 3] = upper[kind == 3] = 0.0    # pinned
+    lower[kind == 4] = -np.inf               # unbounded
+    upper[kind == 4] = np.inf
+    lower[kind == 5] = 0.0                   # at a face
+    if seed % 4 == 1:
+        lower[rng.random(n) < 0.3] = -0.3 * ACTIVE_TOL
+    lo = np.maximum(lower, -delta)
+    hi = np.minimum(upper, delta)
+    return B, g, lower, upper, lo, hi, delta
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+class TestRewrittenKernelsMatchReference:
+    @pytest.mark.parametrize("seed", range(240))
+    def test_bit_identical(self, seed):
+        B, g, lower, upper, lo, hi, delta = _random_subproblem(seed)
+        cp = cauchy_point(B, g, lo, hi)
+        p, active, decrease = _reference_cauchy_point(B, g, lo, hi)
+        assert np.array_equal(cp.p, p) and _same_bits(cp.p, p)
+        assert np.array_equal(cp.active, active)
+        assert cp.model_decrease == decrease
+        assert float.hex(cp.model_decrease) == float.hex(decrease)
+
+        # the plain trust-region form, with and without a variable box
+        for box in (None, (lower, upper)):
+            v = steihaug_cg(B, g, delta=delta, tol=1e-3, box=box)
+            ref = _reference_steihaug_cg(B, g, delta=delta, tol=1e-3, box=box)
+            assert np.array_equal(v, ref) and _same_bits(v, ref)
+
+        # the form inner_solve uses: CG on the variables the Cauchy point
+        # left free, inside the box that remains, with no radius of its own
+        free = ~active
+        if free.any():
+            g_red = (g + B @ p)[free]
+            B_red = B[np.ix_(free, free)]
+            box = (np.minimum(lo[free] - p[free], 0.0),
+                   np.maximum(hi[free] - p[free], 0.0))
+            tol = min(0.1, np.sqrt(np.linalg.norm(g_red)))
+            kw = dict(delta=np.inf, tol=tol, box=box, abs_tol=5e-7)
+            v = steihaug_cg(B_red, g_red, **kw)
+            ref = _reference_steihaug_cg(B_red, g_red, **kw)
+            assert np.array_equal(v, ref) and _same_bits(v, ref)
