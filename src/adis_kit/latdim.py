@@ -183,7 +183,8 @@ def _bootstrap_votes(X: np.ndarray, qs: np.ndarray, q_l: int, seed: int
     n = X.shape[1]
     votes: Dict[int, int] = {}
     for _ in range(BOOT_REPS):
-        lam = _spectrum(X[:, rng.integers(0, n, size=n)])
+        # np.take gives the same matrix as X[:, idx], C-ordered, in half the time
+        lam = _spectrum(np.take(X, rng.integers(0, n, size=n), axis=1))
         _, _, delta, guarded = _cv_drops(lam, qs)
         q = q_l if guarded.all() else 1 + vote_from_delta(qs, delta)[2]
         votes[q] = votes.get(q, 0) + 1

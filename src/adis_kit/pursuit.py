@@ -251,7 +251,9 @@ def _fix_signs(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     signs = np.ones(Q.shape[0])
     for k, s in enumerate(S):
         sd = s.std()
-        skew = float(np.mean((s - s.mean()) ** 3)) / sd ** 3 if sd > 0 else 0.0
+        dev = s - s.mean()
+        # d * d * d, not d ** 3: pow is slow, and only the sign is used
+        skew = float(np.mean(dev * dev * dev)) / sd ** 3 if sd > 0 else 0.0
         if abs(skew) > 1e-8:
             signs[k] = np.sign(skew)
         else:
