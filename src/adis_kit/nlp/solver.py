@@ -13,6 +13,12 @@ the inner problem is always bound-constrained. Each point is evaluated once:
 an inner solve starts from the raw data the outer loop holds for its
 iterate, and only the final KKT stamp evaluates again, independently.
 
+A trial step is judged by the ratio rho of the actual to the predicted
+decrease of L. When the predicted decrease is positive but at most
+``10 * eps * max(1, |L|)`` (eps the float64 machine epsilon), the actual
+decrease is rounding noise in L, so the step is taken with rho = 1 (Conn,
+Gould & Toint 2000, Trust-Region Methods, section 17.4.2).
+
 Every inner iteration appends one diagnostics record; the final record is
 stamped with penalty-free KKT residuals. A solve that takes no iteration
 records its start point, so every trace ends in a stamped record.
@@ -48,6 +54,9 @@ THETA_L = 0.5
 MU_FLOOR = 1e-8
 DELTA0 = 1.0
 RHO_ACCEPT = 0.1
+# a predicted decrease at most this times max(1, |L|) is below the rounding
+# of the merit value L
+MERIT_ROUNDING = 10.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -157,8 +166,10 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
     ``model(x)`` returns ``(value, gradient, payload)``. ``start_eval``, when
     given, is that triple at the (projected) start point, which is then not
     evaluated again. The quasi-Newton state ``qn`` is updated at every
-    iteration, accepted or not. Success means the projected-gradient norm
-    reached ``eta_grad`` within ``j_max`` iterations.
+    iteration, accepted or not. A step whose predicted decrease is positive
+    but below ``MERIT_ROUNDING * max(1, |value|)`` is judged with rho = 1.
+    Success means the projected-gradient norm reached ``eta_grad`` within
+    ``j_max`` iterations.
     """
     x = project_box(np.asarray(x_start, dtype=float), lower, upper)
     value, grad, payload = start_eval if start_eval is not None else model(x)
@@ -201,8 +212,12 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
         predicted = -(float(grad.dot(step)) + 0.5 * float(step.dot(B.dot(step))))
         x_trial = np.minimum(np.maximum(x + step, lower), upper)
         value_trial, grad_trial, payload_trial = model(x_trial)
-        actual = value - value_trial
-        rho = actual / predicted if predicted > 0 else -np.inf
+        if predicted > MERIT_ROUNDING * max(1.0, abs(value)):
+            rho = (value - value_trial) / predicted
+        elif predicted > 0:
+            rho = 1.0       # the actual decrease would be rounding noise
+        else:
+            rho = -np.inf
         accepted = rho > rho_accept
 
         delta = trust_region_update(rho if math.isfinite(rho) else -1.0, step, delta)

@@ -122,6 +122,34 @@ class TestInnerSolve:
                 np.testing.assert_array_equal(x, prev)
 
 
+    def test_decrease_below_merit_rounding_is_taken(self):
+        # a merit of about 119 that carries terms of about 4096, as a large
+        # penalty term does: the model decrease of about 1e-13 is below the
+        # rounding of the merit, whose computed value stays 119 exactly. The
+        # raw ratio is 0 at every radius, which rejects every step until
+        # j_max; the guarded ratio takes the step.
+        curv = 1e-7
+
+        def model(x):
+            bowl = 0.5 * curv * float(x @ x)
+            return (4096.0 + bowl) - 4096.0 + 119.0, curv * x, None
+
+        seen = []
+
+        def watch(j, x, L, g, pg, delta, rho, accepted, skipped, payload):
+            seen.append((L, rho, accepted))
+
+        x0 = np.array([1e-3, -1e-3])
+        res = inner_solve(model, x0, np.full(2, -np.inf), np.full(2, np.inf),
+                          eta_grad=1e-12, j_max=30,
+                          qn=DenseQuasiNewton(2, kind="sr1", gamma=curv),
+                          on_iteration=watch)
+        assert res.success
+        assert res.iterations == 1
+        assert seen == [(119.0, 1.0, True)]
+        np.testing.assert_array_equal(res.x, np.zeros(2))
+
+
 class TestOuterSolve:
     def test_unconstrained_quadratic(self):
         rng = np.random.default_rng(1)
