@@ -25,11 +25,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.outer(a, b)`` of two vectors, bit for bit."""
-    return a[:, None] * b
-
-
 def sr1_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
                skip_factor: float = SR1_SKIP_FACTOR) -> Tuple[np.ndarray, bool]:
     """One symmetric rank-1 update; skipped when the denominator is unsafe."""
@@ -37,7 +32,7 @@ def sr1_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
     den = float(w.dot(s))
     if abs(den) <= skip_factor * _norm(s) * _norm(w):
         return B, False
-    return B + _outer(w, w) / den, True
+    return B + np.outer(w, w) / den, True
 
 
 def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
@@ -51,10 +46,11 @@ def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
     sBs = float(s.dot(Bs))
     if sBs <= 0.0:
         return B, False
-    return B + _outer(y, y) / ys - _outer(Bs, Bs) / sBs, True
+    return B + np.outer(y, y) / ys - np.outer(Bs, Bs) / sBs, True
 
 
 def _check_pair(s, y) -> Tuple[np.ndarray, np.ndarray]:
+    """The pair as float arrays; a zero step (s's = 0) is an error."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     if float(s.dot(s)) == 0.0:

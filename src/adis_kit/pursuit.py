@@ -252,7 +252,7 @@ def _fix_signs(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     for k, s in enumerate(S):
         sd = s.std()
         dev = s - s.mean()
-        # d * d * d, not d ** 3: pow is slow, and only the sign is used
+        # dev * dev * dev, not dev ** 3: pow is slow, and only the sign is used
         skew = float(np.mean(dev * dev * dev)) / sd ** 3 if sd > 0 else 0.0
         if abs(skew) > 1e-8:
             signs[k] = np.sign(skew)
