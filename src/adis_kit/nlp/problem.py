@@ -42,8 +42,6 @@ class NlpProblem:
     upper: Optional[np.ndarray] = None
     name: str = ""
     x0: Optional[np.ndarray] = None
-    # set by add_slacks: number of variables of the pre-conversion problem
-    original_dim: Optional[int] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -123,9 +121,9 @@ def project_box(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
 def add_slacks(problem: NlpProblem) -> NlpProblem:
     """Convert ``g(x) >= 0`` into equalities ``g(x) - s = 0`` with ``s >= 0``.
 
-    The returned problem has dimension ``dim + n_ineq``, only equality
-    constraints, and ``original_dim`` set so the original variables can be
-    recovered as ``z[:original_dim]``.
+    The returned problem has dimension ``dim + n_ineq`` and only equality
+    constraints; the original variables are ``z[:dim]``. It carries no start:
+    ``solve`` appends the slacks ``max(g(x0), 0)`` to the original one.
     """
     if problem.n_ineq == 0:
         return problem
@@ -152,10 +150,6 @@ def add_slacks(problem: NlpProblem) -> NlpProblem:
 
     lower = np.concatenate([base.lower, np.zeros(L)])
     upper = np.concatenate([base.upper, np.full(L, np.inf)])
-    x0 = None
-    if base.x0 is not None:
-        g0, _ = base.eval_ineq(base.x0)
-        x0 = np.concatenate([base.x0, np.maximum(g0, 0.0)])
     return NlpProblem(
         dim=n + L,
         objective=objective,
@@ -164,8 +158,6 @@ def add_slacks(problem: NlpProblem) -> NlpProblem:
         lower=lower,
         upper=upper,
         name=base.name,
-        x0=x0,
-        original_dim=n,
     )
 
 

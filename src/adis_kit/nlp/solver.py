@@ -250,14 +250,13 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     converted = problem.n_ineq > 0
     prob = add_slacks(problem) if converted else problem
     if x0 is None:
-        if prob.x0 is None:
+        if problem.x0 is None:
             raise ValueError("no starting point: pass x0 or set problem.x0")
-        z = prob.x0.copy()
-    else:
-        z = np.asarray(x0, dtype=float).copy()
-        if converted and z.shape == (problem.dim,):
-            g0, _ = problem.eval_ineq(z)
-            z = np.concatenate([z, np.maximum(g0, 0.0)])
+        x0 = problem.x0
+    z = np.asarray(x0, dtype=float).copy()
+    if converted and z.shape == (problem.dim,):
+        g0, _ = problem.eval_ineq(z)
+        z = np.concatenate([z, np.maximum(g0, 0.0)])
     if z.shape != (prob.dim,):
         raise ValueError(f"x0 has shape {z.shape}, expected ({prob.dim},)")
     if not np.all(np.isfinite(z)):

@@ -1,15 +1,18 @@
 """Multistage source extraction.
 
 Stage 0 scatters random unit vectors over the feasible manifold and ranks
-them by the contrast. Stage 1 extracts one direction at a time by rotating a
-seed inside an orthonormal basis of the complement of the earlier
-directions, solving the best few seeds and moving down the ranking only when
-all of them fail. Stage 2 re-optimizes all directions jointly by rotating the
-Stage 1 solution, ``Q = C(K) @ Q_stage1`` with C the Cayley transform of a
-skew-symmetric K. Both stages solve ``ProblemFactory.rotation_problem``, so
-unit norm and orthogonality are structural and the solver's constraints are
-the user's alone. Stage 2 falls back to the Stage 1 solution, explicitly, if
-its solve fails or loses objective against a feasible Stage 1.
+them by the contrast. Stage 1 extracts one direction at a time by rotating
+an orthonormal block, starting from the identity, whose rows span what the
+earlier directions left. It solves the best few seeds and moves down the
+ranking only when all of them fail. Row 0 of the winner's rotated block is
+the direction, and its other rows are the next component's block, so the
+remaining space is handed on, never recomputed. Stage 2 re-optimizes all
+directions jointly by rotating the Stage 1 solution, ``Q = C(K) @ Q_stage1``
+with C the Cayley transform of a skew-symmetric K. Both stages solve
+``ProblemFactory.rotation_problem``, so unit norm and orthogonality are
+structural and the solver's constraints are the user's alone. Stage 2 falls
+back to the Stage 1 solution, explicitly, if its solve fails or loses
+objective against a feasible Stage 1.
 """
 
 from __future__ import annotations
@@ -73,49 +76,19 @@ class PursuitResult:
         return "user" if self.latdim is None else "estimated"
 
 
-def orthonormal_complement(priors: np.ndarray, q: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the given rows in R^q.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass; candidate
-    vectors are the standard basis in index order, so the result is
-    deterministic.
-    """
-    priors = np.asarray(priors, dtype=float).reshape(-1, q)
-    k = priors.shape[0]
-    cols = []
-    for i in range(q):
-        v = np.zeros(q)
-        v[i] = 1.0
-        for _ in range(2):
-            for w in priors:
-                v -= (v @ w) * w
-            for w in cols:
-                v -= (v @ w) * w
-        norm = np.linalg.norm(v)
-        if norm > 1e-10:
-            cols.append(v / norm)
-        if len(cols) == q - k:
-            break
-    if len(cols) != q - k:
-        raise ValueError("could not complete an orthonormal complement")
-    return np.stack(cols, axis=1)
-
-
-def seed_search(contrast: ContrastFn, w_basis: np.ndarray,
-                x_tilde: np.ndarray, n_seeds: int, retained: int,
-                rng: np.random.Generator
+def seed_search(contrast: ContrastFn, basis: np.ndarray,
+                x_tilde: np.ndarray, n_seeds: int, rng: np.random.Generator
                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Score random unit vectors in reduced coordinates, keep the best.
+    """Score random unit vectors in reduced coordinates and rank them all.
 
     Draws uniform entries on (-1, 1), normalizes each draw, scores the
-    lifted directions with ``contrast.scores`` and returns the ``retained``
-    reduced vectors with the highest scores (ties keep the lower draw index),
-    so for the same ``rng`` a smaller ``retained`` gives a prefix of the
-    larger ranking. Returns ``(seeds, scores)`` with seeds as rows.
+    directions it lifts to through the orthonormal rows of ``basis`` with
+    ``contrast.scores`` and returns every draw by descending score (ties keep
+    the lower draw index). Returns ``(seeds, scores)`` with seeds as rows.
     """
-    W = np.asarray(w_basis, dtype=float)
+    B = np.asarray(basis, dtype=float)
     X = np.asarray(x_tilde, dtype=float)
-    r = W.shape[1]
+    r = B.shape[0]
     Z = rng.uniform(-1.0, 1.0, size=(n_seeds, r))
     norms = np.linalg.norm(Z, axis=1)
     # a zero draw has probability zero; re-draw deterministically if it happens
@@ -124,21 +97,21 @@ def seed_search(contrast: ContrastFn, w_basis: np.ndarray,
         Z[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), r))
         norms = np.linalg.norm(Z, axis=1)
     Z /= norms[:, None]
-    scores = contrast.scores(Z @ W.T, X)
-    order = np.argsort(-scores, kind="stable")[:retained]
+    scores = contrast.scores(Z @ B, X)
+    order = np.argsort(-scores, kind="stable")
     return Z[order], scores[order]
 
 
-def _closed_form_last_component(factory: ProblemFactory, w_basis: np.ndarray,
+def _closed_form_last_component(factory: ProblemFactory, basis: np.ndarray,
                                 x_tilde: np.ndarray, eta_con_star: float
                                 ) -> Tuple[np.ndarray, float, SolveTrace]:
     """One-dimensional manifold: the direction is +-basis, pick the better.
 
     No freedom is left to meet user constraints, so the trace carries their
     true residual at the chosen direction and reads ``infeasible`` when it
-    exceeds ``eta_con_star``.
+    exceeds ``eta_con_star``. Returns the direction as a 1 x q block.
     """
-    w = w_basis[:, 0]
+    w = basis[0]
     best_sign = 1.0
     best_val, _ = factory.score(w, x_tilde)
     val_neg, _ = factory.score(-w, x_tilde)
@@ -153,61 +126,62 @@ def _closed_form_last_component(factory: ProblemFactory, w_basis: np.ndarray,
                              lam_norm=0.0, mu=0.0, delta=0.0, rho=None,
                              accepted=True, qn_skipped=False,
                              status=status, kkt_grad=0.0, kkt_con=con))
-    return w, best_val, trace
+    return w[None, :], best_val, trace
 
 
-def _seed_first(w_basis: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    """``w_basis`` times the Householder reflection that maps e_1 to the
-    unit vector ``z0``: orthonormal columns, the first one ``w_basis @ z0``."""
+def _seed_first(basis: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """The Householder reflection that maps e_1 to the unit vector ``z0``,
+    applied to the rows of ``basis``: orthonormal rows, the first one
+    ``z0 @ basis``."""
     v = z0.copy()
     v[0] -= 1.0
-    return w_basis - np.outer(w_basis @ v, (2.0 / (v @ v)) * v)
+    return basis - np.outer((2.0 / (v @ v)) * v, v @ basis)
 
 
-def extract_component(k: int, priors: np.ndarray, x_tilde: np.ndarray,
+def extract_component(k: int, basis: np.ndarray, x_tilde: np.ndarray,
                       factory: ProblemFactory, config: PursuitConfig,
                       rng: np.random.Generator
                       ) -> Tuple[np.ndarray, float, SolveTrace]:
-    """Extract direction ``k`` (1-based) orthogonal to the prior rows.
+    """Extract direction ``k`` (1-based) in the span of the orthonormal rows
+    of ``basis``, the space the earlier directions left.
 
     Runs Stage 0 seeding, then per retained seed one rotation solve from
-    x = 0 that turns the lifted seed within the complement of the priors.
-    When every solve of the ``retained`` best seeds fails, the next
-    ``retained`` seeds of the same Stage 0 ranking are tried, and so on,
-    until a chunk has a converged solve. Returns the best-scoring converged
-    direction of that chunk, its score and the trace of the winning solve.
-    Raises ``PursuitError`` with all traces when the ranking is used up.
+    x = 0 that turns the lifted seed within that span. When every solve of
+    the ``retained`` best seeds fails, the next ``retained`` seeds of the
+    same Stage 0 ranking are tried, and so on, until a chunk has a converged
+    solve. Returns the rotated block of the best-scoring converged solve of
+    that chunk, its score and its trace: row 0 of the block is the
+    direction, and rows 1.. span what is left for the next component (none
+    after the last). Raises ``PursuitError`` with all traces when the
+    ranking is used up.
     """
     X = np.asarray(x_tilde, dtype=float)
-    q = X.shape[0]
-    W = orthonormal_complement(priors, q)
-    r = W.shape[1]
+    B = np.asarray(basis, dtype=float)
 
-    if r == 1:
-        return _closed_form_last_component(factory, W, X,
+    if B.shape[0] == 1:
+        return _closed_form_last_component(factory, B, X,
                                            config.solver.eta_con_star)
 
-    ranking, _ = seed_search(factory.contrast, W, X, config.n_seeds,
-                             config.n_seeds, rng)
+    ranking, _ = seed_search(factory.contrast, B, X, config.n_seeds, rng)
     traces, winners = [], []
     for first in range(0, len(ranking), config.retained):
         for z0 in ranking[first:first + config.retained]:
-            start = _seed_first(W, z0).T
+            start = _seed_first(B, z0)
             problem = factory.rotation_problem(X, start, moved=1)
             sol = solve(problem, x0=np.zeros(problem.dim),
                         config=config.solver)
             traces.append(sol.trace)
             if sol.converged:
-                w = cayley_rotation(sol.x, start)[0][0]
-                winners.append((-sol.f, w, sol.trace))
+                block = cayley_rotation(sol.x, start)[0]
+                winners.append((-sol.f, block, sol.trace))
         if winners:
             break
     else:
         raise PursuitError(f"component {k}",
                            f"all {len(traces)} seed solves failed to converge",
                            traces)
-    value, w, trace = max(winners, key=lambda t: t[0])
-    return w, value, trace
+    value, block, trace = max(winners, key=lambda t: t[0])
+    return block, value, trace
 
 
 def refine_joint(Q_init: np.ndarray, values_init: np.ndarray,
@@ -272,11 +246,13 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     rows: List[np.ndarray] = []
     values: List[float] = []
     traces: List[SolveTrace] = []
+    basis = np.eye(q)
     for k in range(1, q + 1):
-        priors = np.array(rows) if rows else np.zeros((0, q))
         rng = np.random.default_rng(children[k - 1])
-        w, value, trace = extract_component(k, priors, X, factory, config, rng)
-        rows.append(w)
+        block, value, trace = extract_component(k, basis, X, factory, config,
+                                                rng)
+        rows.append(block[0])
+        basis = block[1:]
         values.append(value)
         traces.append(trace)
     Q1 = np.array(rows)

@@ -62,7 +62,6 @@ class TestAddSlacks:
         conv = add_slacks(p)
         assert conv.dim == 2
         assert conv.n_eq == 1 and conv.n_ineq == 0
-        assert conv.original_dim == 1
         z = np.array([3.0, 0.5])
         c, J = conv.eval_eq(z)
         # g(x) - s = (x - 1) - s

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from adis_kit.pursuit import (
     PursuitError,
     decompose,
     extract_component,
-    orthonormal_complement,
     refine_joint,
     run_stages,
     seed_search,
@@ -41,86 +38,95 @@ def laplace_xt():
     return whitened_mixture(S, mix_seed=8)
 
 
-class TestComplement:
-    def test_spans_complement(self):
-        rng = np.random.default_rng(1)
-        priors, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-        W = orthonormal_complement(priors.T[:2], 5)
-        assert W.shape == (5, 3)
-        assert np.max(np.abs(W.T @ W - np.eye(3))) <= 1e-12
-        assert np.max(np.abs(W.T @ priors)) <= 1e-12
+class TestCarriedBlock:
+    @pytest.mark.parametrize("q", [10, 12])
+    def test_block_spans_what_is_left(self, factory, q, monkeypatch):
+        # each component hands its rotated block on; with no
+        # re-orthogonalization its rows stay orthonormal, and the rows handed
+        # on stay orthogonal to every extracted direction
+        import adis_kit.pursuit as pursuit
+        blocks = []
+        original = pursuit.extract_component
 
-    def test_empty_priors_gives_identity_like_basis(self):
-        W = orthonormal_complement(np.zeros((0, 4)), 4)
-        np.testing.assert_allclose(W, np.eye(4))
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            blocks.append(out[0])
+            return out
+
+        monkeypatch.setattr(pursuit, "extract_component", recorded)
+        S = np.random.default_rng(q).laplace(size=(q, 2000))
+        cfg = PursuitConfig(n_seeds=20, rng_seed=1, run_stage2=False)
+        res = run_stages(whitened_mixture(S, mix_seed=q), factory, cfg)
+        assert [len(b) for b in blocks] == list(range(q, 0, -1))
+        for k, block in enumerate(blocks):
+            np.testing.assert_array_equal(block[0], res.Q_stage1[k])
+            r = block.shape[0]
+            assert np.max(np.abs(block @ block.T - np.eye(r))) <= 1e-12
+            assert np.max(np.abs(res.Q_stage1[:k + 1] @ block[1:].T),
+                          initial=0.0) <= 1e-12
+
+    def test_last_step_hands_on_an_empty_block(self, factory, laplace_xt):
+        cfg = PursuitConfig(n_seeds=50, rng_seed=0)
+        basis = np.eye(3)[2:]
+        block, value, _ = extract_component(3, basis, laplace_xt, factory,
+                                            cfg, np.random.default_rng(0))
+        assert block.shape == (1, 3)
+        assert block[1:].shape == (0, 3)
+        assert abs(block[0] @ basis[0]) == 1.0
+        assert value == negentropy(block[0], laplace_xt)[0]
 
 
 class TestSeedSearch:
     def test_seeds_are_unit_and_orthogonal_to_priors(self, factory, laplace_xt):
         rng = np.random.default_rng(2)
-        prior = np.zeros((1, 3))
-        prior[0, 0] = 1.0
-        W = orthonormal_complement(prior, 3)
-        seeds, scores = seed_search(factory.contrast, W, laplace_xt,
-                                    n_seeds=50, retained=50,
-                                    rng=np.random.default_rng(3))
+        frame, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        prior, basis = frame.T[0], frame.T[1:]
+        seeds, scores = seed_search(factory.contrast, basis, laplace_xt,
+                                    n_seeds=50, rng=np.random.default_rng(3))
         for z in seeds:
             assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-10)
-            u = W @ z
-            assert abs(u @ prior[0]) <= 1e-10
+            u = z @ basis
+            assert abs(u @ prior) <= 1e-10
         assert np.all(np.diff(scores) <= 1e-15)   # sorted by score
 
     def test_all_seeds_returned_when_retained_equals_count(self, factory,
                                                            laplace_xt):
-        W = np.eye(3)
-        seeds, scores = seed_search(factory.contrast, W, laplace_xt, 20, 20,
-                                    np.random.default_rng(4))
+        seeds, scores = seed_search(factory.contrast, np.eye(3), laplace_xt,
+                                    20, np.random.default_rng(4))
         assert seeds.shape == (20, 3)
-
-    @pytest.mark.parametrize("retained", [1, 2, 7])
-    def test_retained_seeds_are_a_prefix_of_the_ranking(self, factory,
-                                                         laplace_xt, retained):
-        # extract_component walks on through the same ranking in chunks
-        W = orthonormal_complement(np.zeros((0, 3)), 3)
-        full = seed_search(factory.contrast, W, laplace_xt, 60, 60,
-                           np.random.default_rng(5))
-        head = seed_search(factory.contrast, W, laplace_xt, 60, retained,
-                           np.random.default_rng(5))
-        for part, whole in zip(head, full):
-            np.testing.assert_array_equal(part, whole[:retained])
+        assert scores.shape == (20,)
 
     def test_seeded_determinism(self, factory, laplace_xt):
-        W = np.eye(3)
-        s1, v1 = seed_search(factory.contrast, W, laplace_xt, 100, 5,
+        s1, v1 = seed_search(factory.contrast, np.eye(3), laplace_xt, 100,
                              np.random.default_rng(9))
-        s2, v2 = seed_search(factory.contrast, W, laplace_xt, 100, 5,
+        s2, v2 = seed_search(factory.contrast, np.eye(3), laplace_xt, 100,
                              np.random.default_rng(9))
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(v1, v2)
 
     @staticmethod
-    def per_seed_reference(contrast, W, X, n_seeds, retained, rng):
+    def per_seed_reference(contrast, B, X, n_seeds, rng):
         """Stage 0 with one ``evaluate`` call per draw."""
-        Z = rng.uniform(-1.0, 1.0, size=(n_seeds, W.shape[1]))
+        Z = rng.uniform(-1.0, 1.0, size=(n_seeds, B.shape[0]))
         norms = np.linalg.norm(Z, axis=1)
         while np.any(norms == 0.0):
             bad = norms == 0.0
-            Z[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), W.shape[1]))
+            Z[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), B.shape[0]))
             norms = np.linalg.norm(Z, axis=1)
         Z /= norms[:, None]
-        scores = np.array([contrast.evaluate(W @ z, X)[0] for z in Z])
-        order = np.argsort(-scores, kind="stable")[:retained]
+        scores = np.array([contrast.evaluate(z @ B, X)[0] for z in Z])
+        order = np.argsort(-scores, kind="stable")
         return Z[order], scores[order]
 
     def test_batched_scores_keep_per_seed_ranking(self, factory, laplace_xt):
         S = np.random.default_rng(7).laplace(size=(5, 20000))
-        cases = [(laplace_xt, orthonormal_complement(np.eye(3)[:1], 3)),
+        cases = [(laplace_xt, np.eye(3)[1:]),
                  (whitened_mixture(S, mix_seed=3), np.eye(5))]
-        for (X, W), retained in itertools.product(cases, (2, 10)):
-            got = seed_search(factory.contrast, W, X, 1000, retained,
+        for X, B in cases:
+            got = seed_search(factory.contrast, B, X, 1000,
                               np.random.default_rng(11))
-            ref = self.per_seed_reference(factory.contrast, W, X, 1000,
-                                          retained, np.random.default_rng(11))
+            ref = self.per_seed_reference(factory.contrast, B, X, 1000,
+                                          np.random.default_rng(11))
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_allclose(got[1], ref[1], rtol=1e-12, atol=0)
 
@@ -130,14 +136,13 @@ class TestExtractComponent:
         # two priors leave a one-dimensional manifold: +-w
         cfg = PursuitConfig(n_seeds=50, rng_seed=0)
         rng = np.random.default_rng(5)
-        w1, _, _ = extract_component(1, np.zeros((0, 3)), laplace_xt, factory,
-                                     cfg, rng)
-        w2, _, _ = extract_component(2, np.array([w1]), laplace_xt, factory,
-                                     cfg, rng)
-        w3, value, trace = extract_component(3, np.array([w1, w2]),
-                                             laplace_xt, factory, cfg, rng)
+        b1, _, _ = extract_component(1, np.eye(3), laplace_xt, factory, cfg,
+                                     rng)
+        b2, _, _ = extract_component(2, b1[1:], laplace_xt, factory, cfg, rng)
+        b3, value, trace = extract_component(3, b2[1:], laplace_xt, factory,
+                                             cfg, rng)
         assert trace.final.status == "converged"
-        v_flip, _ = negentropy(-w3, laplace_xt)
+        v_flip, _ = negentropy(-b3[0], laplace_xt)
         assert value >= v_flip - 1e-15
 
     def test_last_component_reports_user_constraint_violation(self,
@@ -169,21 +174,22 @@ class TestExtractComponent:
         a_star = angles[int(np.argmax(scores))]
         w_oracle = np.array([np.cos(a_star), np.sin(a_star)])
         cfg = PursuitConfig(rng_seed=1)
-        w1, _, trace = extract_component(1, np.zeros((0, 2)), Xt, factory,
-                                         cfg, np.random.default_rng(7))
-        assert abs(w1 @ w_oracle) >= 0.99
+        block, _, trace = extract_component(1, np.eye(2), Xt, factory, cfg,
+                                            np.random.default_rng(7))
+        assert abs(block[0] @ w_oracle) >= 0.99
         assert trace.final.kkt_grad <= 1e-6
         assert trace.final.kkt_con <= 1e-6
 
     def test_direction_is_unit_without_projection(self, factory, laplace_xt):
         # the rotation keeps the direction on the sphere and orthogonal to
-        # the priors; its value is the solver's own objective
+        # the earlier one; its value is the solver's own objective
         cfg = PursuitConfig(n_seeds=100, rng_seed=2)
         rng = np.random.default_rng(3)
-        w1, _, _ = extract_component(1, np.zeros((0, 3)), laplace_xt, factory,
-                                     cfg, rng)
-        w2, value, trace = extract_component(2, np.array([w1]), laplace_xt,
-                                             factory, cfg, rng)
+        b1, _, _ = extract_component(1, np.eye(3), laplace_xt, factory, cfg,
+                                     rng)
+        b2, value, trace = extract_component(2, b1[1:], laplace_xt, factory,
+                                             cfg, rng)
+        w1, w2 = b1[0], b2[0]
         assert trace.final.status == "converged"
         for w in (w1, w2):
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
@@ -196,12 +202,12 @@ class TestExtractComponent:
         cfg = PursuitConfig(n_seeds=10, retained=2, rng_seed=0)
         cfg.solver = replace(cfg.solver, max_outer=1, j_max=1)
         with pytest.raises(PursuitError) as info:
-            extract_component(1, np.zeros((0, 3)), laplace_xt, factory, cfg,
+            extract_component(1, np.eye(3), laplace_xt, factory, cfg,
                               np.random.default_rng(8))
         assert len(info.value.traces) == 10
         assert "component 1" in str(info.value)
 
-    @pytest.mark.parametrize("rng_seed", [24, 30, 35, 51])
+    @pytest.mark.parametrize("rng_seed", [34, 35, 45, 51, 56, 58])
     def test_constrained_seeds_walk_on_past_failed_solves(self, laplace_xt,
                                                           rng_seed,
                                                           monkeypatch):
@@ -323,10 +329,11 @@ class TestRefineJoint:
 
     def test_sparse_bells_joint_stage_improves_mean_sir(self, factory):
         # deflation error accumulates on sparse bell sources; the joint stage
-        # recovers it (mean over mixing draws)
+        # recovers it. Stage 1 SIR spreads from 12 to 18 dB across draws, so
+        # the mean is taken over 20 of them.
         S = sparse_bells(q=10, n=2000, seed=1)
         stage1, joint = [], []
-        for mix_seed in (21, 22):
+        for mix_seed in range(21, 41):
             Xt = whitened_mixture(S, mix_seed)
             cfg = PursuitConfig(rng_seed=5)
             res = run_stages(Xt, factory, cfg)
