@@ -6,7 +6,8 @@ projected log-cosh moment from its Gaussian value, a robust non-Gaussianity
 score. ``ProblemFactory`` turns a contrast plus an optional hook and user
 constraints into minimization problems for the solver. Both pursuit stages
 move directions by a Cayley rotation of orthonormal rows (one row in Stage
-1, all rows in Stage 2), so the solver's constraints are the user's alone.
+1, in closed form, and all rows in Stage 2), so the solver's constraints are
+the user's alone.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def negentropy(w: np.ndarray, x_tilde: np.ndarray) -> Tuple[float, np.ndarray]:
     """Squared excess of the projected log-cosh moment over the Gaussian one.
 
     Returns the score and its gradient with respect to ``w``. The projection
-    is ``w' x_tilde``; the expectation is the plain sample mean.
+    is ``w' x_tilde``; the expectation is the plain sample mean. A 2-D ``w``
+    scores each of its rows in one pass: an array of scores and one gradient
+    row per row of ``w``.
     """
     w = np.asarray(w, dtype=float)
     X = np.asarray(x_tilde, dtype=float)
@@ -58,24 +61,39 @@ def negentropy(w: np.ndarray, x_tilde: np.ndarray) -> Tuple[float, np.ndarray]:
         raise ValueError("need at least 2 samples")
     z = w @ X
     vals, derivs = g_logcosh(z)
+    c = gauss_expectation()
+    if w.ndim == 2:
+        diff = vals.sum(axis=1) / n - c
+        grad = (2.0 * diff / n)[:, None] * (derivs @ X.T)
+        return diff * diff, grad
     # the same bits as vals.mean(), without its Python-level wrapper
     m = float(vals.sum() / n)
-    c = gauss_expectation()
     diff = m - c
     grad = (2.0 * diff / n) * (X @ derivs)
     return diff * diff, grad
 
 
-# Element budget of one projected block in LogCoshNegentropy.scores: 64k
-# doubles (512 KiB) keep the block in cache. Whole (directions x samples)
-# temporaries miss cache and lose to a per-direction loop, and so do small
-# fixed row counts at large n.
+# Element budget of one projected block in LogCoshNegentropy.scores and
+# evaluate_rows: 64k doubles (512 KiB) keep the block in cache. Whole
+# (directions x samples) temporaries miss cache and lose to a per-direction
+# loop, and so do small fixed row counts at large n.
 SCORE_BLOCK_ELEMENTS = 1 << 16
 
 
 class ContrastFn(Protocol):
     def evaluate(self, w: np.ndarray, x_tilde: np.ndarray
                  ) -> Tuple[float, np.ndarray]: ...
+
+    def evaluate_rows(self, W: np.ndarray, x_tilde: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Values and gradients, one per row of ``W``: ``evaluate`` on each.
+
+        The default loops over ``evaluate``; a contrast overrides it when
+        it can evaluate many directions in fewer calls.
+        """
+        pairs = [self.evaluate(w, x_tilde) for w in W]
+        return (np.array([float(v) for v, _ in pairs]),
+                np.array([np.asarray(g, dtype=float) for _, g in pairs]))
 
     def scores(self, D: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
         """Values only, one per row of ``D``: ``evaluate(d, x_tilde)[0]``.
@@ -91,6 +109,16 @@ class LogCoshNegentropy(ContrastFn):
 
     def evaluate(self, w, x_tilde):
         return negentropy(w, x_tilde)
+
+    def evaluate_rows(self, W, x_tilde):
+        """``negentropy`` of every row of ``W``: in one call when the
+        projected rows fit ``SCORE_BLOCK_ELEMENTS``, else row by row, where
+        a block gains nothing over the 1-D path."""
+        W = np.asarray(W, dtype=float)
+        X = np.asarray(x_tilde, dtype=float)
+        if W.shape[0] * X.shape[1] <= SCORE_BLOCK_ELEMENTS:
+            return negentropy(W, X)
+        return super().evaluate_rows(W, X)
 
     def scores(self, D, x_tilde):
         """``negentropy`` values for the rows of ``D``, without gradients.
@@ -197,6 +225,17 @@ class ProblemFactory:
             grad = grad + np.asarray(bg, dtype=float)
         return value, grad
 
+    def score_rows(self, W, X):
+        """``score`` of every row of ``W``: values and gradient rows, from
+        one ``evaluate_rows`` call plus the hook per row."""
+        values, grads = self.contrast.evaluate_rows(W, X)
+        if self.b_hook is not None:
+            hooked = [self.b_hook(w, X) for w in W]
+            values = values + np.array([float(v) for v, _ in hooked])
+            grads = grads + np.array([np.asarray(g, dtype=float)
+                                      for _, g in hooked])
+        return values, grads
+
     def rotation_problem(self, x_tilde: np.ndarray, start: np.ndarray,
                          moved: int) -> NlpProblem:
         """Problem over rotations of the first ``moved`` rows of ``start``.
@@ -207,7 +246,8 @@ class ProblemFactory:
         ``moved`` rows of ``cayley_rotation(x, start)[0]``. Unit norm and
         orthogonality are structural, so the only constraints are the user
         blocks on each moved direction, pulled back through the map. The
-        objective sums the negated per-direction score.
+        objective sums the negated per-direction score. With ``moved == 1``
+        the map is ``cayley_row0``, the closed form of that row.
         """
         X = np.asarray(x_tilde, dtype=float)
         start = np.asarray(start, dtype=float)
@@ -215,27 +255,37 @@ class ProblemFactory:
         dim = moved * (r - 1) - moved * (moved - 1) // 2
         cs = self.constraints
 
-        def objective(x):
-            Q, pull = cayley_rotation(x, start)
-            total = 0.0
-            G = np.zeros_like(Q)
-            for k in range(moved):
-                value, G[k] = self.score(Q[k], X)
-                total += value
-            return -total, -pull(G)
+        if moved == 1:
+            def objective(x):
+                w, pull = cayley_row0(x, start)
+                value, g = self.score(w, X)
+                return -value, -pull(g)
 
-        def per_direction(blocks):
-            def fn(x):
+            def per_direction(blocks):
+                def fn(x):
+                    w, pull = cayley_row0(x, start)
+                    v, J = _stack_user_block(blocks, w, X)
+                    return v, pull(J)
+                return fn
+        else:
+            def objective(x):
                 Q, pull = cayley_rotation(x, start)
-                vals, jacs = [], []
-                for k in range(moved):
-                    v, J = _stack_user_block(blocks, Q[k], X)
-                    G = np.zeros((v.size,) + Q.shape)
-                    G[:, k] = J
-                    vals.append(v)
-                    jacs.append(pull(G))
-                return np.concatenate(vals), np.vstack(jacs)
-            return fn
+                G = np.zeros_like(Q)
+                values, G[:moved] = self.score_rows(Q[:moved], X)
+                return -values.sum(), -pull(G)
+
+            def per_direction(blocks):
+                def fn(x):
+                    Q, pull = cayley_rotation(x, start)
+                    vals, jacs = [], []
+                    for k in range(moved):
+                        v, J = _stack_user_block(blocks, Q[k], X)
+                        G = np.zeros((v.size,) + Q.shape)
+                        G[:, k] = J
+                        vals.append(v)
+                        jacs.append(pull(G))
+                    return np.concatenate(vals), np.vstack(jacs)
+                return fn
 
         return NlpProblem(dim=dim, objective=objective,
                           eq_constraints=per_direction(cs.eq) if cs.eq else None,
@@ -244,6 +294,39 @@ class ProblemFactory:
                                             if cs.ineq else None),
                           n_ineq=cs.n_ineq * moved,
                           name="pursuit-rotation")
+
+
+def cayley_row0(x: np.ndarray, start: np.ndarray
+                ) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Row 0 of ``cayley_rotation(x, start)[0]`` when ``x`` fills row 0 of
+    K (``x.size == r - 1``), in closed form.
+
+    K is then skew of rank two, and with ``s = |x|^2 / 4``, ``b0 = start[0]``
+    and ``B1 = start[1:]`` the row is ``w = ((1 - s) b0 + x B1) / (1 + s)``
+    (Wen & Yin 2013, Math. Program. 142): no r x r inverse or product.
+    Returns ``w`` and the pullback that maps gradients with respect to ``w``,
+    of shape ``(..., q)``, to gradients with respect to ``x``:
+    ``(g B1' - (g . (b0 + w)) x / 2) / (1 + s)``.
+    """
+    b0, B1 = start[0], start[1:]
+    s = 0.25 * float(x.dot(x))
+    w = ((1.0 - s) * b0 + x.dot(B1)) / (1.0 + s)
+
+    def pull(G):
+        return (G.dot(B1.T) - np.multiply.outer(0.5 * G.dot(b0 + w), x)
+                ) / (1.0 + s)
+
+    return w, pull
+
+
+def cayley_row0_block(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """``cayley_rotation(x, start)[0]`` when ``x`` fills row 0 of K, in
+    closed form: row 0 is ``cayley_row0``'s, and rows 1.. are
+    ``B1 - x (b0 + x B1 / 2)' / (1 + s)`` in its notation."""
+    b0, B1 = start[0], start[1:]
+    s = 0.25 * float(x.dot(x))
+    w, _ = cayley_row0(x, start)
+    return np.vstack([w, B1 - np.outer(x, b0 + 0.5 * x.dot(B1)) / (1.0 + s)])
 
 
 @lru_cache(maxsize=None)

@@ -148,6 +148,10 @@ class LimitedQuasiNewton:
         return self._cache
 
 
+# the kinds make_quasi_newton accepts, in any letter case
+QN_KINDS = ("sr1", "bfgs", "l-sr1", "l-bfgs")
+
+
 def make_quasi_newton(kind: str, n: int, gamma: float, memory: int = 10):
     kind = kind.lower()
     if kind in ("sr1", "bfgs"):

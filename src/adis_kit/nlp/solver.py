@@ -9,9 +9,21 @@ and asks the inner solver for a point whose projected-gradient norm meets a
 running tolerance. Feasibility progress drives the multiplier update and the
 tolerance schedule; an unsolvable subproblem lowers ``mu`` and retries.
 Inequalities are converted to equalities with nonnegative slacks up front, so
-the inner problem is always bound-constrained. Each point is evaluated once:
-an inner solve starts from the raw data the outer loop holds for its
-iterate, and only the final KKT stamp evaluates again, independently.
+the inner problem is always bound-constrained.
+
+A problem with no equality rows after that conversion (unconstrained or
+bound-only) runs no schedule: its merit is f, which neither ``lam`` nor
+``mu`` changes, so the loop reduces to the inner solver (Conn, Gould & Toint
+1991, SIAM J. Numer. Anal. 28(2)). The inner solve is asked for
+``eta_grad_star`` from the start and usually finishes in one outer
+iteration. When it fails, the next outer iteration goes on from the point it
+reached, with a fresh trust region; a failed inner solve that took no step
+ends the solve, since lowering ``mu`` would only retry the same model from
+the same point.
+
+Each point is evaluated once: an inner solve starts from the raw data the
+outer loop holds for its iterate, and only the final KKT stamp evaluates
+again, independently.
 
 A trial step is judged by the ratio rho of the actual to the predicted
 decrease of L. When the predicted decrease is positive but at most
@@ -34,7 +46,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .problem import NlpProblem, add_slacks, kkt_residual, project_box
-from .quasi_newton import make_quasi_newton
+from .quasi_newton import QN_KINDS, make_quasi_newton
 from .subproblem import cauchy_point, steihaug_cg, trust_region_update
 from .trace import SolveTrace, TraceRecord
 
@@ -80,7 +92,8 @@ class AugLagConfig:
             raise ValueError("stopping tolerances must be positive")
         if self.j_max < 1 or self.max_outer < 1 or self.lm_memory < 1:
             raise ValueError("iteration limits must be positive")
-        make_quasi_newton(self.qn_kind, 1, 1.0)  # raises on unknown kind
+        if self.qn_kind.lower() not in QN_KINDS:
+            raise ValueError(f"unknown quasi-Newton kind {self.qn_kind!r}")
 
 
 @dataclass
@@ -266,8 +279,14 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     lam = np.zeros(prob.n_eq)
 
     mu = MU0
-    eta_con = mu ** -0.1
-    eta_grad = 1.0 / mu
+    # without equality rows the merit is f and mu changes nothing, so the
+    # inner solve gets the final tolerance at once and no schedule runs
+    schedule = prob.n_eq > 0
+    if schedule:
+        eta_con = mu ** -0.1
+        eta_grad = 1.0 / mu
+    else:
+        eta_con, eta_grad = cfg.eta_con_star, cfg.eta_grad_star
 
     # the raw data at the current outer iterate x: each inner solve starts
     # from it, so no point is evaluated twice
@@ -305,6 +324,15 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
                 x = res.x
                 ev = res.payload
                 break
+            if not schedule:
+                # lowering mu cannot change the model: the next outer
+                # iteration goes on from where this one stopped, and one
+                # that took no step ends the solve
+                failed = np.array_equal(res.x, x)
+                if failed:
+                    status = SolveStatus.INNER_FAILURE
+                x, ev = res.x, res.payload
+                break
             mu = THETA_L * mu
             if mu < MU_FLOOR:
                 x = res.x
@@ -325,9 +353,10 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             if c_norm <= cfg.eta_con_star and kkt_grad <= cfg.eta_grad_star:
                 status = SolveStatus.CONVERGED
                 break
-            lam = lam - mu * ev.c
-            eta_con = eta_con / mu ** 0.9
-            eta_grad = eta_grad / mu
+            if schedule:
+                lam = lam - mu * ev.c
+                eta_con = eta_con / mu ** 0.9
+                eta_grad = eta_grad / mu
         else:
             mu = THETA_H * mu
             eta_con = mu ** -0.1

@@ -5,8 +5,11 @@ from adis_kit.contrast import (
     ConstraintSet,
     ContrastFn,
     LogCoshNegentropy,
+    SCORE_BLOCK_ELEMENTS,
     ProblemFactory,
     cayley_rotation,
+    cayley_row0,
+    cayley_row0_block,
     g_logcosh,
     gauss_expectation,
     negentropy,
@@ -24,6 +27,16 @@ def mean_abs(t_target):
         return np.array([val]), grad[None, :]
 
     return constraint
+
+
+class Cubic(ContrastFn):
+    """Third sample moment of the projection; inherits the default
+    ``scores`` and ``evaluate_rows`` loops."""
+
+    def evaluate(self, w, x_tilde):
+        z = w @ x_tilde
+        n = x_tilde.shape[1]
+        return float(np.mean(z ** 3)), 3.0 * (x_tilde @ (z * z)) / n
 
 
 class TestGLogcosh:
@@ -151,13 +164,6 @@ class TestScores:
         np.testing.assert_allclose(c.scores(D, X), ref, rtol=1e-12, atol=0)
 
     def test_default_loops_over_evaluate(self):
-        class Cubic(ContrastFn):
-            name = "cubic"
-
-            def evaluate(self, w, x_tilde):
-                z = w @ x_tilde
-                return float(np.mean(z ** 3)), np.zeros_like(w)
-
         X = np.random.default_rng(1).laplace(size=(5, 300))
         D = self.directions(7, seed=2)
         c = Cubic()
@@ -167,6 +173,121 @@ class TestScores:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             LogCoshNegentropy().scores(np.ones((2, 2)), np.ones((2, 1)))
+
+
+class TestEvaluateRows:
+    @staticmethod
+    def rows_and_data(n, m=5, seed=0):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((m, 5))
+        return W / np.linalg.norm(W, axis=1)[:, None], rng.laplace(size=(5, n))
+
+    # 5 x 2,000 projected elements fit the block budget, 5 x 20,000 do not
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_block_negentropy_matches_each_row(self, n):
+        W, X = self.rows_and_data(n)
+        values, grads = negentropy(W, X)
+        assert values.shape == (5,) and grads.shape == (5, 5)
+        for w, v, g in zip(W, values, grads):
+            v1, g1 = negentropy(w, X)
+            assert v == pytest.approx(v1, rel=1e-13, abs=0)
+            np.testing.assert_allclose(g, g1, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_logcosh_rows_match_evaluate(self, n):
+        W, X = self.rows_and_data(n, seed=1)
+        values, grads = LogCoshNegentropy().evaluate_rows(W, X)
+        ref = [negentropy(w, X) for w in W]
+        if W.shape[0] * n > SCORE_BLOCK_ELEMENTS:
+            # above the budget every row takes the 1-D path, bit for bit
+            np.testing.assert_array_equal(values, [v for v, _ in ref])
+            np.testing.assert_array_equal(grads, [g for _, g in ref])
+        else:
+            np.testing.assert_allclose(values, [v for v, _ in ref],
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(grads, [g for _, g in ref],
+                                       rtol=1e-13, atol=0)
+
+    def test_default_loops_over_evaluate(self):
+        W, X = self.rows_and_data(300, m=4, seed=2)
+        c = Cubic()
+        values, grads = c.evaluate_rows(W, X)
+        for w, v, g in zip(W, values, grads):
+            v1, g1 = c.evaluate(w, X)
+            assert v == v1
+            np.testing.assert_array_equal(g, g1)
+
+    @pytest.mark.parametrize("moved", [2, 3])
+    def test_default_rows_and_hook_pass_gradient_audit(self, moved):
+        # a Stage 2 problem through the default evaluate_rows plus a hook
+        # added per row; moved = 2 rotates two of three rows
+        rng = np.random.default_rng(11)
+        X = rng.laplace(size=(3, 500))
+        a = rng.standard_normal(3)
+        factory = ProblemFactory(
+            Cubic(), b_hook=lambda w, Xd: (0.1 * (w @ a) ** 2,
+                                           0.2 * (w @ a) * a))
+        Q_start = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        problem = factory.rotation_problem(X, Q_start, moved=moved)
+        assert problem.dim == 3
+        x = rng.standard_normal(3)
+        check_gradients(problem, x)
+        Q, _ = cayley_rotation(x, Q_start)
+        f, _ = problem.eval_objective(x)
+        expected = sum(factory.score(w, X)[0] for w in Q[:moved])
+        assert f == pytest.approx(-expected, rel=1e-14)
+
+
+class TestCayleyRow0:
+    """The closed form of row 0 of a Cayley rotation whose K has only row 0
+    against the general ``cayley_rotation``."""
+
+    @staticmethod
+    def case(r, size, seed):
+        rng = np.random.default_rng(seed)
+        # r orthonormal rows of R^(r+2), the shape of a carried Stage 1 block
+        start = np.linalg.qr(rng.standard_normal((r + 2, r + 2)))[0][:r]
+        x = rng.standard_normal(r - 1)
+        return start, size * x / np.linalg.norm(x), rng
+
+    @pytest.mark.parametrize("size", [1e-8, 1e-3, 1.0, 30.0, 1e3])
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_row_pullback_and_block_match_general_map(self, r, size):
+        start, x, rng = self.case(r, size, seed=100 * r)
+        Q, pull = cayley_rotation(x, start)
+        w, pull0 = cayley_row0(x, start)
+        np.testing.assert_allclose(w, Q[0], rtol=0, atol=1e-14)
+        # gradients of the objective (one row) and of a 3-row Jacobian
+        g = rng.standard_normal(start.shape[1])
+        G = np.zeros_like(Q)
+        G[0] = g
+        np.testing.assert_allclose(pull0(g), pull(G), rtol=0, atol=1e-14)
+        J = rng.standard_normal((3, start.shape[1]))
+        GJ = np.zeros((3,) + Q.shape)
+        GJ[:, 0] = J
+        np.testing.assert_allclose(pull0(J), pull(GJ), rtol=0, atol=1e-14)
+        # the general map inverts I - K/2, whose condition number
+        # sqrt(1 + |x|^2 / 4) scales its rounding; the closed form's is flat
+        block = cayley_row0_block(x, start)
+        np.testing.assert_array_equal(block[0], w)
+        np.testing.assert_allclose(block, Q, rtol=0,
+                                   atol=1e-14 * max(1.0, size))
+        assert np.max(np.abs(block @ block.T - np.eye(r))) <= 1e-14
+
+    @pytest.mark.parametrize("r", [2, 7, 12])
+    def test_block_matches_exact_rotation_at_large_angle(self, r):
+        import mpmath
+        mpmath.mp.dps = 40
+        start, x, _ = self.case(r, 1e3, seed=r)
+        K = mpmath.zeros(r, r)
+        for j, xj in enumerate(x, start=1):
+            K[0, j], K[j, 0] = xj, -xj
+        eye = mpmath.eye(r)
+        exact = (eye - K / 2) ** -1 * (eye + K / 2) * mpmath.matrix(
+            start.tolist())
+        exact = np.array(exact.tolist(), dtype=float)
+        np.testing.assert_allclose(cayley_row0_block(x, start), exact,
+                                   rtol=0, atol=1e-14)
 
 
 class TestCompose:
@@ -203,6 +324,16 @@ class TestCompose:
 
     def test_component_problem_passes_gradient_audit(self):
         problem = self.factory.rotation_problem(self.X, self.start, moved=1)
+        rng = np.random.default_rng(6)
+        check_gradients(problem, rng.standard_normal(2))
+
+    def test_constrained_component_problem_passes_gradient_audit(self):
+        # the user equality's Jacobian goes through the row-0 pullback too
+        factory = ProblemFactory(
+            LogCoshNegentropy(),
+            constraints=ConstraintSet(eq=[(mean_abs(0.75), 1)]))
+        problem = factory.rotation_problem(self.X, self.start, moved=1)
+        assert problem.n_eq == 1
         rng = np.random.default_rng(6)
         check_gradients(problem, rng.standard_normal(2))
 

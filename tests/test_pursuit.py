@@ -207,7 +207,7 @@ class TestExtractComponent:
         assert len(info.value.traces) == 10
         assert "component 1" in str(info.value)
 
-    @pytest.mark.parametrize("rng_seed", [34, 35, 45, 51, 56, 58])
+    @pytest.mark.parametrize("rng_seed", [4, 34, 51, 56, 58])
     def test_constrained_seeds_walk_on_past_failed_solves(self, laplace_xt,
                                                           rng_seed,
                                                           monkeypatch):

@@ -284,6 +284,85 @@ class TestOuterSolve:
         assert len(calls) == 1 + trials + 1
         np.testing.assert_array_equal(calls[-1], sol.x)
 
+    @pytest.mark.parametrize("bounded", [False, True],
+                             ids=["unconstrained", "bound-only"])
+    def test_no_equality_rows_take_one_outer_iteration(self, bounded):
+        # the merit is f, so the inner solve gets the final tolerance at
+        # once: one outer iteration and no schedule on any record
+        b = np.array([2.0, -1.0, 0.5, 3.0])
+        upper = np.array([1.0, np.inf, np.inf, 2.0]) if bounded else None
+
+        def f(x):
+            d = x - b
+            return float(d @ d + 0.25 * (d @ d) ** 2), (2.0 + d @ d) * d
+
+        cfg = AugLagConfig()
+        sol = solve(NlpProblem(dim=4, objective=f, upper=upper),
+                    x0=np.zeros(4), config=cfg)
+        assert sol.converged and sol.n_outer == 1
+        assert sol.kkt_grad <= cfg.eta_grad_star
+        assert len(sol.trace) == sol.n_inner > 1
+        for rec in sol.trace.records:
+            assert rec.outer == 0
+            assert rec.eta_grad == cfg.eta_grad_star
+            assert rec.eta_con == cfg.eta_con_star
+        if bounded:
+            assert sol.x[0] == pytest.approx(1.0, abs=1e-8)
+            assert sol.x[3] == pytest.approx(2.0, abs=1e-8)
+
+    def test_stalled_unconstrained_solve_ends_within_max_outer(self,
+                                                               monkeypatch):
+        # two inner iterations per subproblem never reach the tolerance at
+        # a quartic minimum; each outer iteration goes on from the point the
+        # last one reached, so the solve ends after max_outer inner solves
+        import adis_kit.nlp.solver as solver
+        calls = []
+        original = solver.inner_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].copy())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "inner_solve", counted)
+
+        b = np.array([1.0, 2.0])
+
+        def quartic(x):
+            d = x - b
+            return float(np.sum(d ** 4)), 4.0 * d ** 3
+
+        cfg = AugLagConfig(max_outer=5, j_max=2)
+        sol = solve(NlpProblem(dim=2, objective=quartic), x0=np.zeros(2),
+                    config=cfg)
+        assert sol.status is SolveStatus.MAX_ITERATIONS
+        assert sol.n_outer == len(calls) == cfg.max_outer
+        assert sol.n_inner <= cfg.max_outer * cfg.j_max
+        # no inner solve restarts from the point another one started from
+        assert len({c.tobytes() for c in calls}) == len(calls)
+
+    def test_unconstrained_inner_failure_without_a_step_ends_at_once(
+            self, monkeypatch):
+        # a gradient of the wrong sign makes every trial step an ascent: the
+        # inner solve rejects them all and stops where it started, and a
+        # retry at that point could only repeat it
+        import adis_kit.nlp.solver as solver
+        calls = []
+        original = solver.inner_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "inner_solve", counted)
+        x0 = np.array([0.5, -0.5])
+        sol = solve(NlpProblem(dim=2, objective=lambda x: (float(x @ x),
+                                                           -2.0 * x)),
+                    x0=x0, config=AugLagConfig(j_max=4))
+        assert sol.status is SolveStatus.INNER_FAILURE
+        assert len(calls) == sol.n_outer == 1
+        np.testing.assert_array_equal(sol.x, x0)
+        assert sol.trace.final.status == "inner_failure"
+
     def test_max_iterations_status(self):
         p = NlpProblem(
             dim=2,
