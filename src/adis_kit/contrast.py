@@ -319,16 +319,6 @@ def cayley_row0(x: np.ndarray, start: np.ndarray
     return w, pull
 
 
-def cayley_row0_block(x: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """``cayley_rotation(x, start)[0]`` when ``x`` fills row 0 of K, in
-    closed form: row 0 is ``cayley_row0``'s, and rows 1.. are
-    ``B1 - x (b0 + x B1 / 2)' / (1 + s)`` in its notation."""
-    b0, B1 = start[0], start[1:]
-    s = 0.25 * float(x.dot(x))
-    w, _ = cayley_row0(x, start)
-    return np.vstack([w, B1 - np.outer(x, b0 + 0.5 * x.dot(B1)) / (1.0 + s)])
-
-
 @lru_cache(maxsize=None)
 def _triu_pairs(r: int) -> Tuple[np.ndarray, np.ndarray]:
     """Row-major index pairs of the strict upper triangle of an r x r

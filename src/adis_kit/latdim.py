@@ -4,12 +4,14 @@ Two stages: a permutation bound first (eigenvalues of the column-permuted
 data flatten systematic structure, so ranks where the observed spectrum
 exceeds the permuted one are significant), then leave-one-out cross
 validation of the constant-tail eigenvalue model, scored by the step size of
-the mean CV error and robustified by a cumulative-argmax vote. A bootstrap
-over the columns reruns the CV stage on resampled spectra; a strict majority
-of the resamples can overrule the full-data estimate. The standardized drop
-saturates at a cap set by the tail length alone, so on a single spectrum a
-noise step with a short tail can outscore the genuine step, but seldom on a
-majority of resamples.
+the mean CV error and robustified by a cumulative-argmax vote. Leaving
+member i out of a tail of length k and mean m errs by k (t_i - m) / (k - 1),
+so the whole profile, every q of a spectrum, is one masked pass over centred
+deviations (``cv_profile``). A bootstrap over the columns reruns the CV
+stage on resampled spectra; a strict majority of the resamples can overrule
+the full-data estimate. The standardized drop saturates at a cap set by the
+tail length alone, so on a single spectrum a noise step with a short tail
+can outscore the genuine step, but seldom on a majority of resamples.
 """
 
 from __future__ import annotations
@@ -104,26 +106,37 @@ def permute_lower_bound(X: np.ndarray, seed: int
     return q_l, lam, lam_b
 
 
-def cv_profile(lam: np.ndarray, q: int) -> Tuple[float, float]:
-    """Leave-one-out CV of the constant-tail model at dimension ``q``.
+def cv_profile(lam: np.ndarray, qs: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out CV of the constant-tail model at every dimension in
+    ``qs``, in one pass.
 
-    The tail is the eigenvalues ranked q+1 .. p-1. For each member the
-    prediction is the mean of the others; the squared errors are averaged
-    into ``E_bar`` and their population variance, divided by the tail length,
-    gives ``var_E``. Valid for tails of at least two values (q <= p-3).
+    The tail at q is the eigenvalues ranked q+1 .. p-1, of length
+    ``k = p - 1 - q`` and mean m. Each member is predicted by the mean of the
+    others, and ``t_i - mean_{-i} = k (t_i - m) / (k - 1)``, so the squared
+    errors are ``E_i = (k / (k - 1))^2 (t_i - m)^2``. Their mean is
+    ``e_bar`` and their population variance, divided by k, is ``var_e``.
+    Every tail is one row of a masked ``(len(qs), p - 1)`` array of centred
+    deviations; raw power sums would cancel on flat tails. Valid for tails
+    of at least two values (every q in ``[0, p - 3]``).
     """
     lam = np.asarray(lam, dtype=float)
+    qs = np.asarray(qs, dtype=int)
     p = lam.size
-    if not 0 <= q <= p - 3:
-        raise ValueError(f"q must lie in [0, {p - 3}], got {q}")
-    tail = lam[q:p - 1]
-    k = tail.size                       # p - 1 - q
-    total = tail.sum()
-    m_minus = (total - tail) / (k - 1)  # mean of the others
-    E = (tail - m_minus) ** 2
-    e_bar = float(E.mean())
-    var_e = float(E.var() / k)          # population variance / count
-    return e_bar, var_e
+    bad = qs[(qs < 0) | (qs > p - 3)]
+    if bad.size:
+        raise ValueError(f"q must lie in [0, {p - 3}], got {int(bad[0])}")
+    k = (p - 1 - qs).astype(float)[:, None]
+    mask = np.arange(p - 1) >= qs[:, None]
+    tail = np.where(mask, lam[:p - 1], 0.0)
+    dev = np.where(mask, tail - tail.sum(axis=1, keepdims=True) / k, 0.0)
+    # the rounding of the mean shifts every deviation alike; one corrected
+    # pass removes the shift (exact to rounding on flat tails)
+    dev = np.where(mask, dev - dev.sum(axis=1, keepdims=True) / k, 0.0)
+    E = (k / (k - 1)) ** 2 * dev ** 2
+    e_bar = E.sum(axis=1, keepdims=True) / k
+    var_e = (np.where(mask, E - e_bar, 0.0) ** 2).sum(axis=1) / k[:, 0] ** 2
+    return e_bar[:, 0], var_e
 
 
 def vote_from_delta(qs: np.ndarray, delta: np.ndarray
@@ -151,25 +164,17 @@ def _cv_drops(lam: np.ndarray, qs: np.ndarray
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """CV profile at every scanned q and the standardized drop to q+1.
 
-    Returns ``(e_bar, var_e, delta, guarded)``; ``guarded`` marks drops whose
-    variance hit the zero guard (their delta is 0).
+    ``qs`` is a run of consecutive values. Returns ``(e_bar, var_e, delta,
+    guarded)``; ``guarded`` marks drops whose variance hit the zero guard
+    (their delta is 0).
     """
-    p = lam.size
-    prof = {q: cv_profile(lam, q) for q in range(int(qs[0]), p - 2)}
-    e_bar = np.array([prof[q][0] for q in qs])
-    var_e = np.array([prof[q][1] for q in qs])
-
-    delta = np.empty(qs.size)
-    guarded = np.zeros(qs.size, dtype=bool)
-    for i, q in enumerate(qs):
-        num = prof[q][0] - prof[q + 1][0]
-        den = prof[q][1] + prof[q + 1][1]
-        if den < VAR_GUARD:
-            delta[i] = 0.0
-            guarded[i] = True
-        else:
-            delta[i] = num / np.sqrt(den)
-    return e_bar, var_e, delta, guarded
+    e_all, v_all = cv_profile(lam, np.append(qs, qs[-1] + 1))
+    num = e_all[:-1] - e_all[1:]
+    den = v_all[:-1] + v_all[1:]
+    guarded = den < VAR_GUARD
+    delta = np.divide(num, np.sqrt(den), out=np.zeros_like(num),
+                      where=~guarded)
+    return e_all[:-1], v_all[:-1], delta, guarded
 
 
 def _bootstrap_votes(X: np.ndarray, qs: np.ndarray, q_l: int, seed: int

@@ -164,7 +164,7 @@ def test_criterion_5_bss_quality_monte_carlo():
     # Expected red: the suite's square wave is two-valued, making its true
     # direction an exact stationary point of the empirical contrast; stage 1
     # stops at its certified tolerance next to it, about 90-150 dB (stage 1
-    # mean 43.44 dB), and the joint stage's genuine objective climb
+    # mean 43.34 dB), and the joint stage's genuine objective climb
     # (required by the previous clause) rotates all rows by O(1/sqrt(n)),
     # knocking the square wave to ~30 dB. Improving the joint objective and
     # preserving the square wave's stage 1 SIR are mutually exclusive on this

@@ -9,7 +9,6 @@ from adis_kit.contrast import (
     ProblemFactory,
     cayley_rotation,
     cayley_row0,
-    cayley_row0_block,
     g_logcosh,
     gauss_expectation,
     negentropy,
@@ -266,28 +265,6 @@ class TestCayleyRow0:
         GJ = np.zeros((3,) + Q.shape)
         GJ[:, 0] = J
         np.testing.assert_allclose(pull0(J), pull(GJ), rtol=0, atol=1e-14)
-        # the general map inverts I - K/2, whose condition number
-        # sqrt(1 + |x|^2 / 4) scales its rounding; the closed form's is flat
-        block = cayley_row0_block(x, start)
-        np.testing.assert_array_equal(block[0], w)
-        np.testing.assert_allclose(block, Q, rtol=0,
-                                   atol=1e-14 * max(1.0, size))
-        assert np.max(np.abs(block @ block.T - np.eye(r))) <= 1e-14
-
-    @pytest.mark.parametrize("r", [2, 7, 12])
-    def test_block_matches_exact_rotation_at_large_angle(self, r):
-        import mpmath
-        mpmath.mp.dps = 40
-        start, x, _ = self.case(r, 1e3, seed=r)
-        K = mpmath.zeros(r, r)
-        for j, xj in enumerate(x, start=1):
-            K[0, j], K[j, 0] = xj, -xj
-        eye = mpmath.eye(r)
-        exact = (eye - K / 2) ** -1 * (eye + K / 2) * mpmath.matrix(
-            start.tolist())
-        exact = np.array(exact.tolist(), dtype=float)
-        np.testing.assert_allclose(cayley_row0_block(x, start), exact,
-                                   rtol=0, atol=1e-14)
 
 
 class TestCompose:

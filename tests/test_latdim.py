@@ -1,8 +1,12 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from adis_kit.latdim import (
     BOOT_REPS,
+    _cv_drops,
     cv_profile,
     estimate_q,
     permute_columns,
@@ -81,35 +85,103 @@ class TestPermutation:
         np.testing.assert_array_equal(b1, b2)
 
 
+def loop_cv_profile(lam, q):
+    """Reference: leave-one-out CV of the constant-tail model at one q, each
+    member predicted by the mean of the others."""
+    tail = np.asarray(lam, dtype=float)[q:lam.size - 1]
+    k = tail.size
+    E = (tail - (tail.sum() - tail) / (k - 1)) ** 2
+    return float(E.mean()), float(E.var() / k)
+
+
+def exact_cv_profile(lam, q):
+    """The reference loop in exact rational arithmetic."""
+    tail = [Fraction(float(v)) for v in lam[q:len(lam) - 1]]
+    k = len(tail)
+    total = sum(tail)
+    E = [(t - (total - t) / (k - 1)) ** 2 for t in tail]
+    e_bar = sum(E) / k
+    return e_bar, sum((e - e_bar) ** 2 for e in E) / k / k
+
+
 class TestCvProfile:
     def test_constant_tail_has_zero_error(self):
         lam = np.concatenate([[50.0, 20.0], np.full(6, 3.0), [0.0]])
-        e_bar, var_e = cv_profile(lam, q=2)
-        assert e_bar == 0.0
-        assert var_e == 0.0
+        e_bar, var_e = cv_profile(lam, np.arange(2, 7))
+        np.testing.assert_array_equal(e_bar, 0.0)
+        np.testing.assert_array_equal(var_e, 0.0)
 
     def test_hand_expanded_tail(self):
         # tail (2,1,1,1,1): errors are (2-1)^2 = 1 once and (1-5/4)^2 = 1/16
         # four times; mean 1/4, population variance 0.140625, divided by 5
         lam = np.concatenate([[9.0], [2.0, 1.0, 1.0, 1.0, 1.0], [0.0]])
-        e_bar, var_e = cv_profile(lam, q=1)
-        assert e_bar == pytest.approx(0.25)
-        assert var_e == pytest.approx(0.140625 / 5)
+        e_bar, var_e = cv_profile(lam, np.array([1, 2]))
+        assert e_bar[0] == pytest.approx(0.25)
+        assert var_e[0] == pytest.approx(0.140625 / 5)
+        assert e_bar[1] == 0.0 and var_e[1] == 0.0
 
     def test_error_nonnegative(self):
         rng = np.random.default_rng(3)
         lam = np.sort(rng.uniform(0, 5, 12))[::-1]
-        for q in range(0, 9):
-            e_bar, var_e = cv_profile(lam, q)
-            assert e_bar >= 0.0
-            assert var_e >= 0.0
+        e_bar, var_e = cv_profile(lam, np.arange(0, 10))
+        assert np.all(e_bar >= 0.0)
+        assert np.all(var_e >= 0.0)
 
     def test_range_validation(self):
         lam = np.arange(10, 0, -1, dtype=float)
+        cv_profile(lam, np.arange(0, 8))   # p - 3 = 7 is the last valid value
         with pytest.raises(ValueError):
-            cv_profile(lam, q=-1)
+            cv_profile(lam, np.array([0, -1, 3]))
         with pytest.raises(ValueError):
-            cv_profile(lam, q=8)   # p - 3 = 7 is the last valid value
+            cv_profile(lam, np.array([2, 8]))
+
+    @pytest.mark.parametrize("p", [8, 9, 12, 20, 50, 100, 150])
+    def test_matches_reference_loop(self, p):
+        rng = np.random.default_rng(p)
+        for _ in range(5):
+            lam = np.sort(rng.gamma(1.0, 1.0, p) * 10 ** rng.uniform(-3, 3)
+                          )[::-1]
+            qs = np.arange(0, p - 2)
+            e_bar, var_e = cv_profile(lam, qs)
+            ref = np.array([loop_cv_profile(lam, q) for q in qs])
+            np.testing.assert_allclose(e_bar, ref[:, 0], rtol=1e-12, atol=0)
+            # at q = p - 3 both errors of the two-value tail are equal, so
+            # the variance is 0 up to rounding of e_bar
+            np.testing.assert_allclose(var_e[:-1], ref[:-1, 1], rtol=1e-11,
+                                       atol=0)
+            assert var_e[-1] <= 1e-30 * e_bar[-1] ** 2
+
+    def test_flat_tail_no_less_accurate_than_loop(self):
+        # eigenvalues 1e8 apart by 1e-3: a sum of the tail cancels all but
+        # 11 of its 16 digits, so only centred deviations keep the profile
+        rng = np.random.default_rng(7)
+        lam = np.sort(1e8 + rng.normal(0.0, 1e-3, 40))[::-1]
+        qs = np.arange(0, 36)
+        e_bar, var_e = cv_profile(lam, qs)
+        err = np.zeros((2, 2))
+        for i, q in enumerate(qs):
+            exact = [float(v) for v in exact_cv_profile(lam, q)]
+            for j, (fast, loop) in enumerate(
+                    zip((e_bar[i], var_e[i]), loop_cv_profile(lam, q))):
+                err[j, 0] = max(err[j, 0], abs(fast - exact[j]) / exact[j])
+                err[j, 1] = max(err[j, 1], abs(loop - exact[j]) / exact[j])
+        assert np.all(err[:, 0] <= err[:, 1])
+        assert np.all(err[:, 0] <= 1e-12)
+
+
+class TestCvDrops:
+    def test_constant_tail_is_guarded_without_warnings(self):
+        # tails from q = 2 on are constant, so every drop from q = 2 on has
+        # zero variance on both sides and 0 / 0 must never be evaluated
+        lam = np.concatenate([[50.0, 20.0], np.full(6, 3.0), [0.0]])
+        qs = np.arange(0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e_bar, var_e, delta, guarded = _cv_drops(lam, qs)
+        np.testing.assert_array_equal(guarded, qs >= 2)
+        np.testing.assert_array_equal(delta[2:], 0.0)
+        assert np.all(delta[:2] > 0.0)
+        np.testing.assert_array_equal(e_bar[2:], 0.0)
 
 
 class TestEstimateQ:
