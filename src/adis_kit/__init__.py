@@ -28,23 +28,18 @@ from .pursuit import (
 )
 from .whiten import (
     DataMatrix,
-    DegenerateSpectrumError,
-    NonStationaryARError,
     PpcaModel,
     SourceStats,
     center,
     fit_ppca,
-    prewhiten_iterate,
     source_stats,
 )
 
 __all__ = [
     "ConstraintSet",
     "DataMatrix",
-    "DegenerateSpectrumError",
     "LatDimSummary",
     "LogCoshNegentropy",
-    "NonStationaryARError",
     "PpcaModel",
     "ProblemFactory",
     "PursuitConfig",
@@ -61,7 +56,6 @@ __all__ = [
     "gauss_expectation",
     "negentropy",
     "permute_lower_bound",
-    "prewhiten_iterate",
     "refine_joint",
     "seed_search",
     "source_stats",

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..latdim import estimate_q
-from ..whiten import DataMatrix, center
+from ..whiten import center
 from .sources import model_dataset
 
 FAMILIES = ("gaussian", "uniform", "gamma")
@@ -74,8 +74,7 @@ def _run_cell(cfg: GridConfig, fi: int, ri: int, qi: int) -> GridCell:
     for rep in range(cfg.reps):
         seed = _cell_seed(cfg, fi, ri, qi, rep)
         X = model_dataset(cfg.p, q, cfg.n, sigma, family=family, seed=seed)
-        centered, _ = center(DataMatrix(X))
-        estimates.append(estimate_q(centered.values, seed=seed).q_hat)
+        estimates.append(estimate_q(center(X).values, seed=seed).q_hat)
     bias = np.array(estimates, dtype=float) - q
     return GridCell(family=family, ratio=float(ratio), q_over_p=float(qf),
                     q_true=q, mean_bias=float(bias.mean()),

@@ -216,8 +216,7 @@ def cmd_latdim(args) -> int:
             raise ConfigError(f"input file not found: {args.input}")
         data = DataMatrix(load_matrix(args.input))
         t0 = time.perf_counter()
-        centered, _ = center(data)
-        summary = estimate_q(centered.values, seed=args.seed)
+        summary = estimate_q(center(data.values).values, seed=args.seed)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ objective against a feasible Stage 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -280,8 +280,9 @@ def decompose(data: DataMatrix, q: Optional[int] = None,
               config: Optional[PursuitConfig] = None,
               factory: Optional[ProblemFactory] = None
               ) -> Tuple[PursuitResult, PpcaModel, Optional[SourceStats]]:
-    """Full pipeline: center, estimate the latent dimension when not given,
-    whiten, extract sources, compute source statistics.
+    """Full pipeline: center once, estimate the latent dimension when not
+    given, whiten, extract sources, compute source statistics. The one
+    centered block feeds ``estimate_q``, ``fit_ppca`` and ``source_stats``.
 
     Source statistics need p > q (the residual has p - q degrees of freedom);
     for square problems they are returned as None. Deterministic for a fixed
@@ -293,21 +294,20 @@ def decompose(data: DataMatrix, q: Optional[int] = None,
     if factory is None:
         factory = ProblemFactory(LogCoshNegentropy())
 
+    centered = center(data.values, channel_center=cfg.channel_center)
     latdim_summary = None
     if q is None:
-        centered, _ = center(data, channel_center=cfg.channel_center)
         latdim_summary = estimate_q(centered.values, seed=cfg.rng_seed)
         q = latdim_summary.q_hat
     if not 1 <= q <= data.p:
         raise ValueError(f"latent dimension {q} out of range [1, {data.p}]")
 
-    model = fit_ppca(data, q, channel_center=cfg.channel_center,
-                     degenerate="clip")
-    result = run_stages(model.x_tilde, factory, cfg)
-    result.latdim = latdim_summary
+    model = fit_ppca(centered, q)
+    result = replace(run_stages(model.x_tilde, factory, cfg),
+                     latdim=latdim_summary)
 
     stats = None
     if data.p > q:
-        stats = source_stats(model, data, result.S_hat,
+        stats = source_stats(model, centered, result.S_hat,
                              mixing=model.mixing_for(result.Q))
     return result, model, stats

@@ -133,7 +133,7 @@ def test_criterion_4_latent_dimensionality():
     for rep in range(20):
         X = model_dataset(100, 35, 1000, sigma=0.75, family="gaussian",
                           seed=300 + rep)
-        centered, _ = center(DataMatrix(X))
+        centered = center(X)
         if estimate_q(centered.values, seed=300 + rep).q_hat == 35:
             hits += 1
     ok &= report("q_hat = 35 in >= 15 of 20 seeded reps", hits >= 15,
@@ -231,7 +231,7 @@ def test_criterion_6_property_suites():
 
     # whitening covariance in the zero-floor regime
     A = rng.standard_normal((8, 4))
-    model = fit_ppca(DataMatrix(A @ rng.standard_normal((4, 500))), q=4)
+    model = fit_ppca(center(A @ rng.standard_normal((4, 500))), q=4)
     cov_err = float(np.max(np.abs(
         model.x_tilde @ model.x_tilde.T / 500 - np.eye(4))))
     ok &= report("whitening covariance = I within 1e-8", cov_err <= 1e-8,
@@ -318,7 +318,7 @@ def test_criterion_7_noise_spectrum():
     A = rng.uniform(0, 1, (p, q))
     A = A / np.linalg.svd(A, compute_uv=False)[-1]
     X = A @ rng.standard_normal((q, n)) + rng.standard_normal((p, n))
-    centered, _ = center(DataMatrix(X))
+    centered = center(X)
     lam = np.linalg.eigvalsh(centered.values @ centered.values.T / n)[::-1]
     tail_mean = float(np.mean(lam[q:p - 1]))
     ok = report("tail eigenvalue mean within 5% of sigma^2 = 1",

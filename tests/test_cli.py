@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from adis_kit.cli import main
-from adis_kit.dataio import save_matrix_csv
+from adis_kit.dataio import load_matrix, save_matrix_csv
 from adis_kit.bench import model_dataset
 from adis_kit.pursuit import PursuitConfig
+from adis_kit.whiten import center
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,22 @@ class TestDecompose:
         assert main(["decompose", "--input", str(path), "--q", "2",
                      "--output", str(ok)]) == 0
         assert (ok / "Q.csv").exists()
+
+    @pytest.mark.parametrize("channel_center", [True, False])
+    def test_model_json_records_centering(self, fixture_csv, tmp_path,
+                                          channel_center):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"pursuit": {"channel_center": channel_center}}))
+        out = tmp_path / "run"
+        assert main(["decompose", "--input", str(fixture_csv), "--q", "2",
+                     "--config", str(cfg), "--output", str(out)]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        assert set(doc) == {"q", "sigma2_hat", "eigvals", "mu_hat",
+                            "clipped", "channel_center"}
+        assert doc["channel_center"] is channel_center
+        removed = center(load_matrix(fixture_csv), channel_center).mean
+        np.testing.assert_array_equal(doc["mu_hat"], removed)
 
     def test_q_override_recorded_in_manifest(self, fixture_csv, tmp_path):
         out = tmp_path / "q3"

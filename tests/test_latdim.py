@@ -14,12 +14,12 @@ from adis_kit.latdim import (
     vote_from_delta,
 )
 from adis_kit.bench import model_dataset
-from adis_kit.whiten import DataMatrix, center
+from adis_kit.whiten import center
 
 
 def centered_model_data(p, q, n, sigma, seed, family="gaussian"):
     X = model_dataset(p, q, n, sigma, family=family, seed=seed)
-    centered, _ = center(DataMatrix(X))
+    centered = center(X)
     return centered.values
 
 
@@ -46,7 +46,7 @@ class TestPermutation:
         v = rng.standard_normal(1000)
         X = 100 * np.outer(u, v) / np.linalg.norm(u) / np.linalg.norm(v) \
             * np.sqrt(1000) + rng.standard_normal((50, 1000))
-        centered, _ = center(DataMatrix(X))
+        centered = center(X)
         q_l, lam, lam_b = permute_lower_bound(centered.values, seed=7)
         assert q_l >= 1
         assert lam[0] > 50 * lam[1]
@@ -71,7 +71,7 @@ class TestPermutation:
         qls = []
         for seed in range(30):
             rng = np.random.default_rng(1000 + seed)
-            centered, _ = center(DataMatrix(rng.standard_normal((50, 1000))))
+            centered = center(rng.standard_normal((50, 1000)))
             q_l, _, _ = permute_lower_bound(centered.values, seed=seed)
             qls.append(q_l)
         assert np.median(qls) >= 40
@@ -189,7 +189,7 @@ class TestEstimateQ:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((12, 3))
         S = rng.standard_normal((3, 400))
-        centered, _ = center(DataMatrix(A @ S))
+        centered = center(A @ S)
         summary = estimate_q(centered.values, seed=0)
         assert summary.q_hat == 3
 
@@ -241,7 +241,7 @@ class TestEstimateQ:
         ss = np.random.SeedSequence(seed, spawn_key=(op,))
         data_seed, dec_seed = (int(v) for v in ss.generate_state(2))
         X = model_dataset(12, 5, 20000, 0.5, family="uniform", seed=data_seed)
-        centered, _ = center(DataMatrix(X))
+        centered = center(X)
         s = estimate_q(centered.values, seed=dec_seed)
         top = max(s.g_counts.values())
         assert 1 + min(y for y, c in s.g_counts.items() if c == top) != 5

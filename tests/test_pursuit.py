@@ -3,8 +3,8 @@ import pytest
 
 from adis_kit.bench import MixingSpec, gen_mixing, sir, sparse_bells, synth5
 from adis_kit.contrast import (ConstraintSet, LogCoshNegentropy,
-                               ProblemFactory, negentropy)
-from adis_kit.nlp import SolveTrace, check_gradients
+                               ProblemFactory, cayley_rotation, negentropy)
+from adis_kit.nlp import SolveTrace, add_slacks, check_gradients
 from adis_kit.pursuit import (
     PursuitConfig,
     PursuitError,
@@ -14,15 +14,14 @@ from adis_kit.pursuit import (
     run_stages,
     seed_search,
 )
-from adis_kit.whiten import DataMatrix, fit_ppca
+from adis_kit.whiten import DataMatrix, center, fit_ppca
 from test_contrast import mean_abs
 
 
 def whitened_mixture(S, mix_seed):
     q = S.shape[0]
     A = gen_mixing(MixingSpec(family="uniform-random", dim=q, seed=mix_seed))
-    model = fit_ppca(DataMatrix(A @ S), q, channel_center=False,
-                     degenerate="clip")
+    model = fit_ppca(center(A @ S, channel_center=False), q)
     return model.x_tilde
 
 
@@ -342,6 +341,66 @@ class TestRefineJoint:
         assert np.mean(joint) > np.mean(stage1)
 
 
+class TestUserInequality:
+    # mean |w' x| >= 0.75 binds at the unconstrained solution: the Laplace
+    # sources that log-cosh finds have mean |z| = 1/sqrt(2), about 0.707
+    BOUND = 0.75
+
+    def constrained(self):
+        return ProblemFactory(
+            LogCoshNegentropy(),
+            constraints=ConstraintSet(ineq=[(mean_abs(self.BOUND), 1)]))
+
+    @pytest.mark.parametrize("moved", [1, 3])
+    def test_rotation_problem_gradients(self, laplace_xt, moved):
+        # the inequality block pulled back through the rotation, before and
+        # after the slack conversion that solve applies
+        rng = np.random.default_rng(moved)
+        start, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        problem = self.constrained().rotation_problem(laplace_xt, start,
+                                                      moved=moved)
+        assert problem.n_eq == 0 and problem.n_ineq == moved
+        x = rng.standard_normal(problem.dim)
+        g, _ = problem.eval_ineq(x)
+        Q, _ = cayley_rotation(x, start)
+        np.testing.assert_allclose(
+            g, [mean_abs(self.BOUND)(w, laplace_xt)[0][0] for w in Q[:moved]],
+            rtol=0, atol=1e-14)
+        check_gradients(problem, x)
+        converted = add_slacks(problem)
+        assert converted.n_eq == moved and converted.n_ineq == 0
+        check_gradients(converted,
+                        np.concatenate([x, np.abs(g) + 0.1]))
+
+    @pytest.mark.parametrize("rng_seed, stage1_feasible", [(1, True),
+                                                          (3, False)])
+    def test_binding_inequality_holds_on_every_row(self, factory, laplace_xt,
+                                                   rng_seed, stage1_feasible):
+        free = run_stages(laplace_xt, factory,
+                          PursuitConfig(n_seeds=100, rng_seed=rng_seed))
+        assert all(mean_abs(self.BOUND)(w, laplace_xt)[0][0] < -0.03
+                   for w in free.Q)
+        constrained = self.constrained()
+        cfg = PursuitConfig(n_seeds=100, rng_seed=rng_seed)
+        res = run_stages(laplace_xt, constrained, cfg)
+        tol = cfg.solver.eta_con_star
+        for w in res.Q:
+            assert constrained.constraints.violation(w, laplace_xt) <= tol
+        # the closed-form last Stage 1 row meets the bound only by chance;
+        # refine_joint compares objectives only against a feasible Stage 1
+        assert stage1_feasible == all(
+            constrained.constraints.violation(w, laplace_xt) <= tol
+            for w in res.Q_stage1)
+        if res.joint_fallback:
+            np.testing.assert_array_equal(np.abs(res.Q),
+                                          np.abs(res.Q_stage1))
+        else:
+            assert res.joint_trace.final.status == "converged"
+            if stage1_feasible:
+                assert (res.stage2_objectives.sum()
+                        >= res.stage1_objectives.sum() - 1e-8)
+
+
 class TestDecompose:
     def test_identity_mixing_super_gaussian_sources(self):
         rng = np.random.default_rng(9)
@@ -390,6 +449,30 @@ class TestDecompose:
         cfg = PursuitConfig(rng_seed=3, n_seeds=100, channel_center=False)
         res, model, stats = decompose(DataMatrix(A @ S), q=5, config=cfg)
         assert stats is None
+
+    @pytest.mark.parametrize("q", [None, 2])
+    def test_centers_once(self, q, monkeypatch):
+        # one centered block feeds estimate_q, fit_ppca and source_stats
+        import adis_kit.pursuit as pursuit
+        import adis_kit.whiten as whiten
+        calls = []
+        original = whiten.center
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pursuit, "center", counted)
+        monkeypatch.setattr(whiten, "center", counted)
+        rng = np.random.default_rng(11)
+        A = rng.uniform(0, 1, (12, 2))
+        S = rng.gamma(1.0, 1.0, (2, 3000)) - 1.0
+        X = A @ S + 0.2 * rng.standard_normal((12, 3000))
+        cfg = PursuitConfig(rng_seed=1, n_seeds=20)
+        res, _, stats = decompose(DataMatrix(X), q=q, config=cfg)
+        assert res.q_source == ("user" if q else "estimated")
+        assert stats is not None
+        assert len(calls) == 1
 
     def test_sign_convention_positive_skewness(self):
         rng = np.random.default_rng(13)

@@ -1,36 +1,26 @@
 import numpy as np
 import pytest
 
-from adis_kit.whiten import (
-    DataMatrix,
-    DegenerateSpectrumError,
-    NonStationaryARError,
-    center,
-    estimate_ar_coefficients,
-    fit_ppca,
-    prewhiten_iterate,
-    source_stats,
-)
+from adis_kit.whiten import DataMatrix, center, fit_ppca, source_stats
 
 
 class TestCenter:
     def test_constant_matrix_becomes_zero(self):
-        data = DataMatrix(np.full((4, 50), 3.7))
-        centered, mu = center(data)
+        centered = center(np.full((4, 50), 3.7))
         np.testing.assert_allclose(centered.values, 0.0, atol=1e-12)
 
     def test_doubly_centered_is_fixed_point(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 80))
-        once, _ = center(DataMatrix(X))
-        twice, mu2 = center(once)
+        once = center(X)
+        twice = center(once.values)
         np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
-        np.testing.assert_allclose(mu2, 0.0, atol=1e-12)
+        np.testing.assert_allclose(twice.mean, 0.0, atol=1e-12)
 
     def test_random_matrix_both_centerings_hold(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 100)) * 4 + 2
-        centered, _ = center(DataMatrix(X))
+        centered = center(X)
         # direct recomputation: column sums and row means vanish
         assert np.max(np.abs(centered.values.sum(axis=0))) <= 1e-10
         assert np.max(np.abs(centered.values.mean(axis=1))) <= 1e-10
@@ -38,7 +28,7 @@ class TestCenter:
     def test_channel_center_off_keeps_column_sums(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((4, 30)) + 5
-        centered, _ = center(DataMatrix(X), channel_center=False)
+        centered = center(X, channel_center=False)
         assert np.max(np.abs(centered.values.mean(axis=1))) <= 1e-10
         assert np.max(np.abs(centered.values.sum(axis=0))) > 1e-3
 
@@ -48,7 +38,7 @@ class TestFitPpca:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((8, 3))
         S = rng.standard_normal((3, 400))
-        model = fit_ppca(DataMatrix(A @ S), q=3)
+        model = fit_ppca(center(A @ S), q=3)
         assert model.sigma2_hat <= 1e-10
 
     def test_noise_floor_estimate_on_model_data(self):
@@ -58,7 +48,7 @@ class TestFitPpca:
         A = rng.uniform(0, 1, (p, q))
         A = A / np.linalg.svd(A, compute_uv=False)[-1]
         X = A @ rng.standard_normal((q, n)) + rng.standard_normal((p, n))
-        model = fit_ppca(DataMatrix(X), q=q)
+        model = fit_ppca(center(X), q=q)
         assert model.sigma2_hat == pytest.approx(1.0, abs=0.05)
 
     def test_whitened_covariance_is_identity_without_noise_floor(self):
@@ -66,7 +56,7 @@ class TestFitPpca:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((7, 4))
         S = rng.standard_normal((4, 300))
-        model = fit_ppca(DataMatrix(A @ S), q=4)
+        model = fit_ppca(center(A @ S), q=4)
         cov = model.x_tilde @ model.x_tilde.T / 300
         assert np.max(np.abs(cov - np.eye(4))) <= 1e-8
 
@@ -75,7 +65,7 @@ class TestFitPpca:
         # model-consistent covariance lambda_i / (lambda_i - sigma2), not I
         rng = np.random.default_rng(5)
         X = rng.standard_normal((7, 300)) @ np.diag(np.arange(1, 301) ** 0.1)
-        model = fit_ppca(DataMatrix(X), q=4)
+        model = fit_ppca(center(X), q=4)
         assert model.sigma2_hat > 0
         cov = model.x_tilde @ model.x_tilde.T / X.shape[1]
         lam = model.eigvals[:4]
@@ -85,42 +75,33 @@ class TestFitPpca:
     def test_eigvals_sorted_and_reconstruction(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((6, 200))
-        model = fit_ppca(DataMatrix(X), q=2)
+        model = fit_ppca(center(X), q=2)
         assert np.all(np.diff(model.eigvals) <= 1e-12)
-        centered, _ = center(DataMatrix(X))
+        centered = center(X)
         cov = centered.values @ centered.values.T / X.shape[1]
         recon = model.U @ np.diag(model.eigvals) @ model.U.T
         err = np.linalg.norm(cov - recon) / np.linalg.norm(cov)
         assert err <= 1e-8
 
-    def test_degenerate_spectrum_raises_with_index(self):
-        # asking for more structure than the data rank supports: the floor
-        # reaches the requested eigenvalue
-        rng = np.random.default_rng(20)
-        A = rng.standard_normal((6, 2))
-        X = A @ rng.standard_normal((2, 200))
-        with pytest.raises(DegenerateSpectrumError, match=r"eigenvalue 3"):
-            fit_ppca(DataMatrix(X), q=3)
-
     def test_degenerate_clip_mode_flags_model(self):
         rng = np.random.default_rng(20)
         A = rng.standard_normal((6, 2))
         X = A @ rng.standard_normal((2, 200))
-        model = fit_ppca(DataMatrix(X), q=3, degenerate="clip")
+        model = fit_ppca(center(X), q=3)
         assert model.clipped
         assert np.all(np.isfinite(model.x_tilde))
 
     def test_q_out_of_range(self):
         X = np.random.default_rng(0).standard_normal((5, 50))
         with pytest.raises(ValueError):
-            fit_ppca(DataMatrix(X), q=0)
+            fit_ppca(center(X), q=0)
         with pytest.raises(ValueError):
-            fit_ppca(DataMatrix(X), q=6)
+            fit_ppca(center(X), q=6)
 
     def test_rotation_leaves_mixing_gram_invariant(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((6, 500))
-        model = fit_ppca(DataMatrix(X), q=3)
+        model = fit_ppca(center(X), q=3)
         base = model.A_hat @ model.A_hat.T
         for k in range(10):
             Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -130,11 +111,10 @@ class TestFitPpca:
     def test_least_squares_sources_equal_rotated_whitened(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((6, 500))
-        data = DataMatrix(X)
-        model = fit_ppca(data, q=3)
+        centered = center(X)
+        model = fit_ppca(centered, q=3)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         A = model.mixing_for(Q)
-        centered, _ = center(data)
         s_ls = np.linalg.solve(A.T @ A, A.T @ centered.values)
         np.testing.assert_allclose(s_ls, Q @ model.x_tilde, atol=1e-10)
 
@@ -147,7 +127,7 @@ class TestFitPpca:
             A = rng.uniform(0, 1, (p, q))
             A = A / np.linalg.svd(A, compute_uv=False)[-1]
             X = A @ rng.standard_normal((q, n)) + rng.standard_normal((p, n))
-            estimates.append(fit_ppca(DataMatrix(X), q=q).sigma2_hat)
+            estimates.append(fit_ppca(center(X), q=q).sigma2_hat)
         assert abs(np.mean(estimates) - 1.0) <= 0.05
 
 
@@ -156,10 +136,10 @@ class TestSourceStats:
         rng = np.random.default_rng(9)
         A = rng.standard_normal((6, 2))
         S = rng.standard_normal((2, 300))
-        data = DataMatrix(A @ S)
-        model = fit_ppca(data, q=2)
+        centered = center(A @ S)
+        model = fit_ppca(centered, q=2)
         s_hat = model.x_tilde
-        stats = source_stats(model, data, s_hat)
+        stats = source_stats(model, centered, s_hat)
         assert np.max(stats.sigma2) <= 1e-16
         assert np.max(np.abs(stats.cov_at(0))) <= 1e-12
 
@@ -167,9 +147,9 @@ class TestSourceStats:
         rng = np.random.default_rng(10)
         A = rng.standard_normal((5, 1))
         S = rng.standard_normal((1, 200))
-        data = DataMatrix(A @ S + 0.01 * rng.standard_normal((5, 200)))
-        model = fit_ppca(data, q=1)
-        stats = source_stats(model, data, model.x_tilde)
+        centered = center(A @ S + 0.01 * rng.standard_normal((5, 200)))
+        model = fit_ppca(centered, q=1)
+        stats = source_stats(model, centered, model.x_tilde)
         nz = np.abs(model.x_tilde[0]) > 1e-12
         np.testing.assert_allclose(stats.rv[0, nz], 1.0)
 
@@ -177,10 +157,10 @@ class TestSourceStats:
         rng = np.random.default_rng(11)
         A = rng.standard_normal((6, 2))
         S = rng.standard_normal((2, 150))
-        data = DataMatrix(A @ S + 0.1 * rng.standard_normal((6, 150)))
-        model = fit_ppca(data, q=2)
+        centered = center(A @ S + 0.1 * rng.standard_normal((6, 150)))
+        model = fit_ppca(centered, q=2)
         s_hat = model.x_tilde
-        stats = source_stats(model, data, s_hat)
+        stats = source_stats(model, centered, s_hat)
         col_var = np.var(model.A_hat, axis=0)
         direct = col_var[:, None] * s_hat ** 2
         direct = direct / direct.sum(axis=0, keepdims=True)
@@ -191,90 +171,9 @@ class TestSourceStats:
     def test_square_case_rejected(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((3, 100))
-        model = fit_ppca(DataMatrix(X), q=3, degenerate="clip")
+        model = fit_ppca(center(X), q=3)
         with pytest.raises(ZeroDivisionError):
-            source_stats(model, DataMatrix(X), model.x_tilde)
-
-
-class TestPrewhiten:
-    def test_white_residuals_leave_data_unchanged(self):
-        rng = np.random.default_rng(13)
-        X = rng.standard_normal((4, 10000))
-        out = prewhiten_iterate(DataMatrix(X), lambda d: d.values,
-                                ar_order=1, max_rounds=3)
-        np.testing.assert_allclose(out.values, X, atol=1e-8)
-
-    def test_max_rounds_zero_is_identity(self):
-        rng = np.random.default_rng(14)
-        X = rng.standard_normal((3, 500))
-        out = prewhiten_iterate(DataMatrix(X), lambda d: d.values,
-                                ar_order=2, max_rounds=0)
-        np.testing.assert_array_equal(out.values, X)
-
-    def test_ar1_coefficient_recovered(self):
-        rng = np.random.default_rng(15)
-        n = 10000
-        e = rng.standard_normal(n + 100)
-        x = np.zeros(n + 100)
-        for t in range(1, n + 100):
-            x[t] = 0.5 * x[t - 1] + e[t]
-        phi = estimate_ar_coefficients(x[100:], order=1)
-        assert phi[0] == pytest.approx(0.5, abs=0.05)
-
-    def test_ar1_noise_gets_whitened(self):
-        rng = np.random.default_rng(16)
-        n = 10000
-        X = np.zeros((3, n))
-        for ch in range(3):
-            e = rng.standard_normal(n + 100)
-            x = np.zeros(n + 100)
-            for t in range(1, n + 100):
-                x[t] = 0.5 * x[t - 1] + e[t]
-            X[ch] = x[100:]
-        out = prewhiten_iterate(DataMatrix(X), lambda d: d.values,
-                                ar_order=1, max_rounds=1)
-        for ch in range(3):
-            r = out.values[ch] - out.values[ch].mean()
-            acf1 = (r[:-1] @ r[1:]) / (r @ r)
-            assert abs(acf1) <= 0.05
-
-    def test_zero_variance_channel_raises_with_index(self):
-        rng = np.random.default_rng(17)
-        X = rng.standard_normal((3, 500))
-
-        def resid(d):
-            r = d.values.copy()
-            r[1] = 0.0
-            return r
-
-        with pytest.raises(NonStationaryARError) as exc_info:
-            prewhiten_iterate(DataMatrix(X), resid, ar_order=1, max_rounds=2)
-        assert exc_info.value.channel == 1
-
-    def test_rejects_bad_order(self):
-        X = np.random.default_rng(0).standard_normal((3, 100))
-        with pytest.raises(ValueError):
-            prewhiten_iterate(DataMatrix(X), lambda d: d.values, ar_order=0)
-
-
-class TestModelExport:
-    def test_save_writes_json_and_binaries(self, tmp_path):
-        import json
-
-        from adis_kit.dataio import load_matrix_binary
-
-        rng = np.random.default_rng(18)
-        X = rng.standard_normal((6, 200))
-        model = fit_ppca(DataMatrix(X), q=2)
-        model.save(tmp_path)
-        doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["q"] == 2
-        np.testing.assert_array_equal(
-            load_matrix_binary(tmp_path / "mixing.bin"), model.A_hat)
-        np.testing.assert_array_equal(
-            load_matrix_binary(tmp_path / "whitened.bin"), model.x_tilde)
-        np.testing.assert_array_equal(
-            load_matrix_binary(tmp_path / "eigvecs.bin"), model.U)
+            source_stats(model, center(X), model.x_tilde)
 
 
 class TestDataMatrix:

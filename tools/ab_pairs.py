@@ -11,7 +11,10 @@ quartiles, the pairs the change won (ties count for neither), the relative
 change of the median and its bound from ``BENCHMARK.json``, and whether the
 claim rule holds: the change wins at least nine tenths of the pairs, and
 the medians differ by more than the distance between the parent's
-quartiles. It uses the standard library only.
+quartiles. It also compares the output digests from each run's detail line:
+per pair, whether the warm-up digests match and how many of the operations
+both sides ran have the same digest. A change meant to keep every output
+shows identical digests throughout. It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from pathlib import Path
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``root``: its result line, with the
-    direction of every metric taken from its detail line."""
+    direction of every metric and the output digests (``warmup``, and
+    ``ops`` in operation order) taken from its detail line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -37,6 +41,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
     for name, metric in result["metrics"].items():
         metric["better"] = detail["metrics"][name]["better"]
+    result["digests"] = {"warmup": detail["warmup_digests"],
+                         "ops": [r["digest"] for r in detail["ops"]]}
     return result
 
 
@@ -70,6 +76,21 @@ def compare(pairs, bounds: dict) -> list:
             "within_bound": bound is None or -sign * rel <= bound,
             "claim_holds": wins >= math.ceil(0.9 * len(pairs))
                            and gain > q3 - q1,
+        })
+    return rows
+
+
+def compare_digests(pairs) -> list:
+    """Per pair: whether both sides' warm-up digests match, and of the
+    operations both sides ran, how many have the same non-empty digest (a
+    failed operation has an empty one)."""
+    rows = []
+    for p, c in pairs:
+        ops = list(zip(p["digests"]["ops"], c["digests"]["ops"]))
+        rows.append({
+            "warmup_match": p["digests"]["warmup"] == c["digests"]["warmup"],
+            "common_ops": len(ops),
+            "same_ops": sum(bool(a) and a == b for a, b in ops),
         })
     return rows
 
@@ -118,10 +139,16 @@ def main(argv=None) -> int:
     correct = all(p["correct"] and c["correct"] for p, c in pairs)
     failed = sum(p["failed"] + c["failed"] for p, c in pairs)
     print(f"  all runs correct: {correct}; failed operations: {failed}")
+    digests = compare_digests(pairs)
+    print(f"  digests: warm-up identical in "
+          f"{sum(d['warmup_match'] for d in digests)}/{len(digests)} pairs; "
+          f"{sum(d['same_ops'] for d in digests)} of "
+          f"{sum(d['common_ops'] for d in digests)} common operations "
+          f"identical")
     if args.out is not None:
         args.out.write_text(json.dumps(
             {"workload": args.workload, "seed": args.seed,
-             "seconds": args.seconds, "rows": rows,
+             "seconds": args.seconds, "rows": rows, "digests": digests,
              "runs": [{"parent": p, "change": c} for p, c in pairs]},
             indent=1))
     return 0
