@@ -7,6 +7,7 @@ from .problem import (
     check_gradients,
     kkt_residual,
     project_box,
+    projected_gradient_norm,
 )
 from .quasi_newton import (
     DenseQuasiNewton,
@@ -20,7 +21,6 @@ from .solver import (
     SolveStatus,
     inner_solve,
     make_aug_lag_model,
-    projected_gradient_norm,
     solve,
 )
 from .subproblem import cauchy_point, steihaug_cg, trust_region_update

@@ -48,7 +48,7 @@ class NlpProblem:
             raise ValueError(f"dim must be positive, got {self.dim}")
         self.lower = _as_bound(self.lower, self.dim, -np.inf)
         self.upper = _as_bound(self.upper, self.dim, np.inf)
-        if np.any(self.lower > self.upper):
+        if np.count_nonzero(self.lower > self.upper):
             bad = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"lower > upper at index {bad}")
         if (self.eq_constraints is None) != (self.n_eq == 0):
@@ -113,9 +113,23 @@ def project_box(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
     if z.shape != lower.shape or z.shape != upper.shape:
         raise DimensionError(
             f"shape mismatch: z {z.shape}, lower {lower.shape}, upper {upper.shape}")
-    if np.any(lower > upper):
+    if np.count_nonzero(lower > upper):
         raise ValueError("lower > upper")
     return np.minimum(np.maximum(z, lower), upper)
+
+
+def projected_gradient_norm(x: np.ndarray, g: np.ndarray,
+                            lower: Optional[np.ndarray] = None,
+                            upper: Optional[np.ndarray] = None) -> float:
+    """Inf-norm of ``x - P(x - g)``, P the clamp onto ``[lower, upper]``;
+    all arrays share one shape. Without bounds P is the identity, which is
+    what clamping onto infinite bounds computes, bit for bit."""
+    z = x - g
+    if lower is not None:
+        np.maximum(z, lower, out=z)
+        np.minimum(z, upper, out=z)
+    np.subtract(x, z, out=z)
+    return float(np.abs(z, out=z).max()) if z.size else 0.0
 
 
 def add_slacks(problem: NlpProblem) -> NlpProblem:
@@ -190,11 +204,10 @@ def kkt_residual(problem: NlpProblem, x: np.ndarray,
             f"lam has shape {lam.shape}, expected ({problem.n_eq},)")
     lam = lam[:problem.n_eq]
     g = lagrangian_gradient(problem, x, lam)
-    step = x - project_box(x - g, problem.lower, problem.upper)
-    grad_res = float(np.max(np.abs(step))) if step.size else 0.0
+    grad_res = projected_gradient_norm(x, g, problem.lower, problem.upper)
     if problem.n_eq:
         c, _ = problem.eval_eq(x)
-        feas_res = float(np.max(np.abs(c)))
+        feas_res = float(np.abs(c).max())
     else:
         feas_res = 0.0
     return grad_res, feas_res

@@ -25,48 +25,62 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def sr1_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
-               skip_factor: float = SR1_SKIP_FACTOR) -> Tuple[np.ndarray, bool]:
-    """One symmetric rank-1 update; skipped when the denominator is unsafe."""
+def sr1_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, s_norm: float
+               ) -> Tuple[np.ndarray, bool]:
+    """One symmetric rank-1 update, ``s_norm`` being ``|s|``; skipped when
+    the denominator is unsafe."""
     w = y - B.dot(s)
     den = float(w.dot(s))
-    if abs(den) <= skip_factor * _norm(s) * _norm(w):
+    if abs(den) <= SR1_SKIP_FACTOR * s_norm * _norm(w):
         return B, False
-    return B + np.outer(w, w) / den, True
+    # B + outer(w, w) / den, built in the outer product's own buffer
+    M = np.multiply.outer(w, w)
+    M /= den
+    M += B
+    return M, True
 
 
-def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
-                curvature_floor: float = BFGS_CURVATURE_FLOOR
+def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, s_norm: float
                 ) -> Tuple[np.ndarray, bool]:
-    """One BFGS update; skipped when s'y fails the curvature floor."""
+    """One BFGS update, ``s_norm`` being ``|s|``; skipped when s'y fails the
+    curvature floor."""
     ys = float(y.dot(s))
-    if ys <= curvature_floor * _norm(s) * _norm(y):
+    if ys <= BFGS_CURVATURE_FLOOR * s_norm * _norm(y):
         return B, False
     Bs = B.dot(s)
     sBs = float(s.dot(Bs))
     if sBs <= 0.0:
         return B, False
-    return B + np.outer(y, y) / ys - np.outer(Bs, Bs) / sBs, True
+    # (B + outer(y, y) / ys) - outer(Bs, Bs) / sBs
+    M = np.multiply.outer(y, y)
+    M /= ys
+    M += B
+    N = np.multiply.outer(Bs, Bs)
+    N /= sBs
+    M -= N
+    return M, True
 
 
-def _check_pair(s, y) -> Tuple[np.ndarray, np.ndarray]:
-    """The pair as float arrays; a zero step (s's = 0) is an error."""
+def _check_pair(s, y) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The pair as float arrays and ``|s|``; a zero step (s's = 0) is an
+    error."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if float(s.dot(s)) == 0.0:
+    ss = float(s.dot(s))
+    if ss == 0.0:
         raise ValueError("zero step")
-    return s, y
+    return s, y, math.sqrt(ss)
 
 
 def quasi_newton_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
                         kind: str = "sr1") -> Tuple[np.ndarray, bool]:
     """Functional update entry point; ``kind`` is ``"sr1"`` or ``"bfgs"``."""
-    s, y = _check_pair(s, y)
+    s, y, s_norm = _check_pair(s, y)
     kind = kind.lower()
     if kind == "sr1":
-        return sr1_update(np.asarray(B, dtype=float), s, y)
+        return sr1_update(np.asarray(B, dtype=float), s, y, s_norm)
     if kind == "bfgs":
-        return bfgs_update(np.asarray(B, dtype=float), s, y)
+        return bfgs_update(np.asarray(B, dtype=float), s, y, s_norm)
     raise ValueError(f"unknown quasi-Newton kind {kind!r}")
 
 
@@ -89,9 +103,9 @@ class DenseQuasiNewton:
         return obj
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
-        s, y = _check_pair(s, y)
+        s, y, s_norm = _check_pair(s, y)
         rule = sr1_update if self.kind == "sr1" else bfgs_update
-        self._B, applied = rule(self._B, s, y)
+        self._B, applied = rule(self._B, s, y, s_norm)
         if applied:
             self.n_applied += 1
         else:

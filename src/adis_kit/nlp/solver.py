@@ -45,7 +45,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .problem import NlpProblem, add_slacks, kkt_residual, project_box
+from .problem import (NlpProblem, add_slacks, kkt_residual, project_box,
+                      projected_gradient_norm)
 from .quasi_newton import QN_KINDS, make_quasi_newton
 from .subproblem import cauchy_point, steihaug_cg, trust_region_update
 from .trace import SolveTrace, TraceRecord
@@ -136,13 +137,6 @@ class InnerResult:
     payload: object = None
 
 
-def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lower: np.ndarray,
-                            upper: np.ndarray) -> float:
-    """Inf-norm of ``x - P(x - g)``; all four arrays share one shape."""
-    step = x - np.minimum(np.maximum(x - g, lower), upper)
-    return float(np.abs(step).max()) if step.size else 0.0
-
-
 def evaluate_raw(problem: NlpProblem, x: np.ndarray) -> RawEval:
     f, g = problem.eval_objective(x)
     c, J = problem.eval_eq(x)
@@ -152,6 +146,12 @@ def evaluate_raw(problem: NlpProblem, x: np.ndarray) -> RawEval:
 def aug_lag_merit(raw: RawEval, lam: np.ndarray, mu: float
                   ) -> Tuple[float, np.ndarray, RawEval]:
     """Merit value, its gradient and the raw data, from data already held."""
+    if not raw.c.size:
+        # no equality rows: lam'c and c'c are 0.0 and J'(lam - mu c) is a
+        # zero vector, so the full form reduces to these scalars and a copy
+        # of g, bit for bit ((f - 0.0) + 0.0 turns -0.0 into +0.0, as the
+        # full form does)
+        return raw.f - 0.0 + 0.5 * mu * 0.0, raw.g.copy(), raw
     value = raw.f - float(lam @ raw.c) + 0.5 * mu * float(raw.c @ raw.c)
     grad = raw.g - raw.J.T @ (lam - mu * raw.c)
     return value, grad, raw
@@ -186,35 +186,55 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
     """
     x = project_box(np.asarray(x_start, dtype=float), lower, upper)
     value, grad, payload = start_eval if start_eval is not None else model(x)
-    pg = projected_gradient_norm(x, grad, lower, upper)
+    # clamping onto bounds that are all infinite changes no bit, so an
+    # unbounded problem skips the clamps of the trial point and of the
+    # projected gradient. From a finite start every accepted point is finite
+    # too (a step with an infinite or NaN entry predicts an infinite or NaN
+    # decrease and is rejected), so its subproblem box max(lower - x,
+    # -delta) .. min(upper - x, delta) is -delta .. delta in every
+    # component, and is passed as floats.
+    bounds = (lower, upper) if (np.count_nonzero(lower != -np.inf)
+                                or np.count_nonzero(upper != np.inf)) else ()
+    radius_box = not bounds and np.count_nonzero(np.isfinite(x)) == x.size
+    pg = projected_gradient_norm(x, grad, *bounds)
     if pg <= eta_grad:
         return InnerResult(x=x, success=True, iterations=0, payload=payload)
 
     delta = delta0
     for j in range(1, j_max + 1):
         B = qn.matrix()
-        lo = np.maximum(lower - x, -delta)
-        hi = np.minimum(upper - x, delta)
+        if radius_box:
+            lo, hi = -delta, delta
+        else:
+            lo = np.maximum(lower - x, -delta)
+            hi = np.minimum(upper - x, delta)
         cp = cauchy_point(B, grad, lo, hi)
         p = step = cp.p
-        free = ~cp.active
-        n_free = np.count_nonzero(free)
-        if n_free:
-            if n_free == p.size:
+        n_active = np.count_nonzero(cp.active)
+        if n_active < p.size:
+            if n_active:
+                free = ~cp.active
+                # a C-ordered copy, as B[np.ix_(free, free)] is: the
+                # layout picks the BLAS kernel and so the rounding
+                B_red = B.compress(free, 0).compress(free, 1)
+            else:
                 # most steps: every variable is free, so index nothing
                 free, B_red = slice(None), B
-            else:
-                B_red = B[np.ix_(free, free)]
             g_red = (grad + B.dot(p))[free]
-            v_lo = np.minimum(lo[free] - p[free], 0.0)
-            v_hi = np.maximum(hi[free] - p[free], 0.0)
             gr_norm = math.sqrt(float(g_red.dot(g_red)))
             if gr_norm > 0.0:
                 tol = min(0.1, math.sqrt(gr_norm))
-                v = steihaug_cg(B_red, g_red, delta=np.inf, tol=tol,
-                                box=(v_lo, v_hi), abs_tol=0.5 * eta_grad)
-                step = p.copy()
-                step[free] += v
+                # steihaug_cg widens the box to contain 0 itself
+                p_free = p[free]
+                box = ((lo - p_free, hi - p_free) if radius_box else
+                       (lo[free] - p_free, hi[free] - p_free))
+                v = steihaug_cg(B_red, g_red, delta=np.inf, tol=tol, box=box,
+                                abs_tol=0.5 * eta_grad)
+                if n_active:
+                    step = p.copy()
+                    step[free] += v
+                else:
+                    step = p + v
 
         step_norm = float(np.abs(step).max())
         if step_norm < 1e-15 * (1.0 + float(np.abs(x).max())):
@@ -223,7 +243,10 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
             return InnerResult(x=x, success=False, iterations=j, payload=payload)
 
         predicted = -(float(grad.dot(step)) + 0.5 * float(step.dot(B.dot(step))))
-        x_trial = np.minimum(np.maximum(x + step, lower), upper)
+        x_trial = x + step
+        if bounds:
+            np.maximum(x_trial, lower, out=x_trial)
+            np.minimum(x_trial, upper, out=x_trial)
         value_trial, grad_trial, payload_trial = model(x_trial)
         if predicted > MERIT_ROUNDING * max(1.0, abs(value)):
             rho = (value - value_trial) / predicted
@@ -233,12 +256,13 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
             rho = -np.inf
         accepted = rho > rho_accept
 
-        delta = trust_region_update(rho if math.isfinite(rho) else -1.0, step, delta)
+        delta = trust_region_update(rho if math.isfinite(rho) else -1.0,
+                                    step_norm, delta)
         applied = qn.update(x_trial - x, grad_trial - grad)
 
         if accepted:
             x, value, grad, payload = x_trial, value_trial, grad_trial, payload_trial
-            pg = projected_gradient_norm(x, grad, lower, upper)
+            pg = projected_gradient_norm(x, grad, *bounds)
 
         if on_iteration is not None:
             on_iteration(j, x, value, grad, pg, delta, rho, accepted,
@@ -272,11 +296,12 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
         z = np.concatenate([z, np.maximum(g0, 0.0)])
     if z.shape != (prob.dim,):
         raise ValueError(f"x0 has shape {z.shape}, expected ({prob.dim},)")
-    if not np.all(np.isfinite(z)):
+    if np.count_nonzero(np.isfinite(z)) != z.size:
         raise ValueError("x0 must be finite")
     x = project_box(z, prob.lower, prob.upper)
 
     lam = np.zeros(prob.n_eq)
+    lam_norm = 0.0
 
     mu = MU0
     # without equality rows the merit is f and mu changes nothing, so the
@@ -291,7 +316,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     # the raw data at the current outer iterate x: each inner solve starts
     # from it, so no point is evaluated twice
     ev = evaluate_raw(prob, x)
-    gamma = max(1.0, float(np.max(np.abs(ev.g))) if ev.g.size else 1.0)
+    gamma = max(1.0, float(np.abs(ev.g).max()) if ev.g.size else 1.0)
     qn = make_quasi_newton(cfg.qn_kind, prob.dim, gamma, cfg.lm_memory)
 
     trace = SolveTrace()
@@ -306,10 +331,8 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
                     payload, _k=k):
             trace.append(TraceRecord(
                 outer=_k, inner=j, f=payload.f, lagrangian=L, pg_norm=pg,
-                c_norm=payload.c_norm,
-                lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
-                mu=mu, delta=delta,
-                rho=None if not np.isfinite(rho) else float(rho),
+                c_norm=payload.c_norm, lam_norm=lam_norm, mu=mu, delta=delta,
+                rho=None if not math.isfinite(rho) else float(rho),
                 accepted=accepted, qn_skipped=qn_skipped,
                 eta_con=eta_con, eta_grad=eta_grad))
 
@@ -345,6 +368,14 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             # multipliers unchanged; retry from the previous outer iterate
         if failed:
             break
+        if not schedule:
+            # no rows: c is empty and the inner solve's projected gradient
+            # is the KKT one, so its success is convergence, and a failure
+            # that took steps leaves the KKT test unmet
+            if res.success:
+                status = SolveStatus.CONVERGED
+                break
+            continue
 
         c_norm = ev.c_norm
         if c_norm <= eta_con:
@@ -353,10 +384,10 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             if c_norm <= cfg.eta_con_star and kkt_grad <= cfg.eta_grad_star:
                 status = SolveStatus.CONVERGED
                 break
-            if schedule:
-                lam = lam - mu * ev.c
-                eta_con = eta_con / mu ** 0.9
-                eta_grad = eta_grad / mu
+            lam = lam - mu * ev.c
+            lam_norm = float(np.abs(lam).max())
+            eta_con = eta_con / mu ** 0.9
+            eta_grad = eta_grad / mu
         else:
             mu = THETA_H * mu
             eta_con = mu ** -0.1
@@ -369,10 +400,9 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
         trace.append(TraceRecord(
             outer=outer_done - 1, inner=0, f=ev.f, lagrangian=L,
             pg_norm=projected_gradient_norm(x, grad, prob.lower, prob.upper),
-            c_norm=ev.c_norm,
-            lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
-            mu=mu, delta=DELTA0, rho=None, accepted=True,
-            qn_skipped=False, eta_con=eta_con, eta_grad=eta_grad))
+            c_norm=ev.c_norm, lam_norm=lam_norm, mu=mu, delta=DELTA0,
+            rho=None, accepted=True, qn_skipped=False, eta_con=eta_con,
+            eta_grad=eta_grad))
 
     # independent of the loop's own bookkeeping
     kkt_grad_final, kkt_con_final = kkt_residual(prob, x, lam)

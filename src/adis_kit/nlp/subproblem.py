@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 ACTIVE_TOL = 1e-12
 
 
-def trust_region_update(rho: float, step: np.ndarray, delta: float) -> float:
-    """Radius update from the actual/predicted decrease ratio.
+def trust_region_update(rho: float, step_norm: float, delta: float) -> float:
+    """Radius update from the actual/predicted decrease ratio and the
+    inf-norm of the step.
 
     Three mutually exclusive branches: expand when the model is good and the
     step presses against the region, hold for moderate agreement, halve
@@ -38,7 +39,6 @@ def trust_region_update(rho: float, step: np.ndarray, delta: float) -> float:
     if delta <= 0:
         raise ValueError("delta must be positive")
     if rho > 0.75:
-        step_norm = float(np.abs(step).max()) if np.size(step) else 0.0
         if step_norm > 0.8 * delta:
             return 2.0 * delta
         return delta
@@ -54,19 +54,20 @@ class CauchyResult:
     model_decrease: float    # m(0) - m(p) >= 0
 
 
-def cauchy_point(B: np.ndarray, g: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> CauchyResult:
+def cauchy_point(B: np.ndarray, g: np.ndarray, lo: Union[np.ndarray, float],
+                 hi: Union[np.ndarray, float]) -> CauchyResult:
     """First local minimizer of the quadratic model along P(-t g).
 
     Walks the piecewise-linear projected gradient path segment by segment,
-    freezing components as they reach their bounds. ``lo <= 0 <= hi``
-    componentwise is required (the zero step must be feasible).
+    freezing components as they reach their bounds. ``lo`` and ``hi`` are
+    arrays of g's shape, or floats for a box with the same bounds in every
+    component; ``lo <= 0 <= hi`` componentwise is required (the zero step
+    must be feasible).
     """
     p = np.zeros(g.size)
     d = -g
     # distance from 0 to the face each component moves towards
-    room = -lo
-    np.copyto(room, hi, where=d > 0)
+    room = np.where(d > 0, hi, -lo)
     # components already pinned at that face never move
     d[room <= ACTIVE_TOL] = 0.0
     # breakpoints hi/d or lo/d; inf where d == 0 (inf / 0 is inf, exactly
@@ -102,22 +103,45 @@ def cauchy_point(B: np.ndarray, g: np.ndarray, lo: np.ndarray,
         Bp = seg * Bd if Bp is None else Bp + seg * Bd
         t = t_next
         for i in np.flatnonzero(t_hit <= t_next + ACTIVE_TOL * (1 + t_next)):
-            p[i] = hi[i] if d[i] > 0 else lo[i]
+            # a moving component's room is hi there, or -lo
+            p[i] = room[i] if d[i] > 0 else -room[i]
             Bd = Bd - B[:, i] * d[i]
             d[i] = 0.0
             t_hit[i] = np.inf
 
-    active = (p <= lo + ACTIVE_TOL * (1.0 + np.abs(lo))) | \
-             (p >= hi - ACTIVE_TOL * (1.0 + np.abs(hi))) | (lo == hi)
+    # with float bounds the face tolerances are two floats, not arrays, and
+    # lo == hi is one bool, which pins every component or none
+    active = (p <= lo + ACTIVE_TOL * (1.0 + abs(lo))) | \
+             (p >= hi - ACTIVE_TOL * (1.0 + abs(hi)))
+    pinned = lo == hi
+    if pinned is not False:
+        active |= pinned
     return CauchyResult(p=p, active=active, model_decrease=float(decrease))
 
 
-def _max_step_in_box(v: np.ndarray, d: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray) -> float:
-    """Largest alpha >= 0 with v + alpha d inside [lo, hi]."""
-    alpha = np.divide(np.where(d > 0, hi - v, lo - v), d,
-                      out=np.full(d.size, np.inf), where=d != 0)
-    return max(float(alpha.min()), 0.0)
+def _max_step_in_box(v: np.ndarray, d: np.ndarray, lo: list,
+                     hi: list) -> float:
+    """Largest alpha >= 0 with v + alpha d inside [lo, hi], the bounds given
+    as lists.
+
+    Each component's ratio is the float division numpy would make, taken in
+    a Python loop: up to about 50 components that costs less than the seven
+    array calls of the vectorized form. A NaN ratio makes the result NaN, as
+    ``ndarray.min`` does.
+    """
+    alpha = math.inf
+    for vi, di, li, hi_i in zip(v.tolist(), d.tolist(), lo, hi):
+        if di > 0.0:
+            a = (hi_i - vi) / di
+        elif di != 0.0:         # negative or NaN
+            a = (li - vi) / di
+        else:
+            continue
+        if a != a:
+            return a
+        if a < alpha:
+            alpha = a
+    return max(alpha, 0.0)
 
 
 def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
@@ -127,9 +151,10 @@ def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
     """Truncated CG for ``min 0.5 v'Bv + g'v`` inside a box trust region.
 
     The feasible set is the inf-norm ball of radius ``delta`` intersected with
-    ``box`` when given. Terminates on a residual below ``tol * ||g||``
-    (tightened to ``abs_tol`` when that is smaller and positive), on negative
-    curvature (step extended to the boundary) or on crossing the boundary.
+    ``box`` when given, widened to contain v = 0. Terminates on a residual
+    below ``tol * ||g||`` (tightened to ``abs_tol`` when that is smaller and
+    positive), on negative curvature (step extended to the boundary) or on
+    crossing the boundary.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -138,13 +163,18 @@ def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
     B = np.asarray(B, dtype=float)
 
     if box is None:
+        # -delta < 0 < delta: the ball already contains v = 0
         lo = np.full(n, -delta)
         hi = np.full(n, delta)
     else:
-        lo = np.maximum(-delta, np.asarray(box[0], dtype=float))
-        hi = np.minimum(delta, np.asarray(box[1], dtype=float))
-    lo = np.minimum(lo, 0.0)
-    hi = np.maximum(hi, 0.0)
+        lo = np.asarray(box[0], dtype=float)
+        hi = np.asarray(box[1], dtype=float)
+        if delta < math.inf:
+            # an infinite radius clips nothing
+            lo = np.maximum(-delta, lo)
+            hi = np.minimum(delta, hi)
+        lo = np.minimum(lo, 0.0)
+        hi = np.maximum(hi, 0.0)
 
     # ||r|| is taken as sqrt(r'r), which is what np.linalg.norm computes, so
     # the dot product CG needs anyway gives the norm too
@@ -157,23 +187,30 @@ def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
         threshold = min(threshold, abs_tol)
     if max_iter is None:
         max_iter = 2 * n + 5
+    lo, hi = lo.tolist(), hi.tolist()
 
-    v = np.zeros(n)
-    r = g                        # residual of the model gradient Bv + g
-    d = -r
+    # v and the residual r = Bv + g are the rows of vr, the direction d and
+    # B @ d the rows of dbd: one multiply and one add update both of the
+    # first pair, elementwise as two separate updates would
+    vr = np.zeros((2, n))
+    v, r = vr
+    r[:] = g
+    dbd = np.empty((2, n))
+    d, Bd = dbd
+    np.negative(g, out=d)
     for _ in range(max_iter):
-        Bd = B.dot(d)
+        np.dot(B, d, out=Bd)
         kappa = float(d.dot(Bd))
         alpha_max = _max_step_in_box(v, d, lo, hi)
         if kappa <= 0.0 or rr / kappa >= alpha_max:
             # negative curvature, or the minimizer along d is outside the box
             return v + alpha_max * d
         alpha = rr / kappa
-        v = v + alpha * d
-        r = r + alpha * Bd
+        vr += alpha * dbd
         rr_new = float(r.dot(r))
         if math.sqrt(rr_new) <= threshold:
             return v
-        d = (rr_new / rr) * d - r
+        d *= rr_new / rr
+        d -= r
         rr = rr_new
     return v

@@ -135,7 +135,7 @@ def _seed_first(basis: np.ndarray, z0: np.ndarray) -> np.ndarray:
     ``z0 @ basis``."""
     v = z0.copy()
     v[0] -= 1.0
-    return basis - np.outer((2.0 / (v @ v)) * v, v @ basis)
+    return basis - np.multiply.outer((2.0 / (v @ v)) * v, v @ basis)
 
 
 def extract_component(k: int, basis: np.ndarray, x_tilde: np.ndarray,
@@ -172,16 +172,16 @@ def extract_component(k: int, basis: np.ndarray, x_tilde: np.ndarray,
                         config=config.solver)
             traces.append(sol.trace)
             if sol.converged:
-                block = cayley_rotation(sol.x, start)[0]
-                winners.append((-sol.f, block, sol.trace))
+                winners.append((-sol.f, sol.x, start, sol.trace))
         if winners:
             break
     else:
         raise PursuitError(f"component {k}",
                            f"all {len(traces)} seed solves failed to converge",
                            traces)
-    value, block, trace = max(winners, key=lambda t: t[0])
-    return block, value, trace
+    value, x, start, trace = max(winners, key=lambda t: t[0])
+    # one rotation, for the winner only
+    return cayley_rotation(x, start)[0], value, trace
 
 
 def refine_joint(Q_init: np.ndarray, values_init: np.ndarray,
@@ -268,7 +268,10 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     S = Q @ X
     signs = _fix_signs(Q, S)
     Q = signs[:, None] * Q
-    S = Q @ X
+    # negation is exact and each row of the product is that row of Q times
+    # X, so flipping the rows of S gives the bits of (signs * Q) @ X without
+    # a second product (but for the sign of an entry that is exactly zero)
+    S *= signs[:, None]
 
     return PursuitResult(
         Q=Q, S_hat=S, component_traces=traces,

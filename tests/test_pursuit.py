@@ -248,6 +248,19 @@ class TestRunStages:
         assert np.max(np.abs(res.Q @ res.Q.T - np.eye(3))) <= 1e-6
         np.testing.assert_allclose(res.S_hat, res.Q @ laplace_xt, atol=0)
 
+    @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (-1.0, 1.0, -1.0),
+                                       (-1.0, -1.0, -1.0)])
+    def test_sources_are_rotated_data_bit_for_bit(self, factory, laplace_xt,
+                                                  signs, monkeypatch):
+        # the sign convention flips rows of S instead of multiplying again;
+        # forced signs make every pattern of flips show
+        import adis_kit.pursuit as pursuit
+        monkeypatch.setattr(pursuit, "_fix_signs",
+                            lambda Q, S: np.array(signs))
+        res = run_stages(laplace_xt, factory,
+                         PursuitConfig(n_seeds=50, rng_seed=2))
+        assert res.S_hat.tobytes() == (res.Q @ laplace_xt).tobytes()
+
     def test_stage2_never_degrades_joint_objective(self, factory, laplace_xt):
         cfg = PursuitConfig(n_seeds=200, rng_seed=3)
         res = run_stages(laplace_xt, factory, cfg)

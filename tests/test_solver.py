@@ -7,16 +7,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adis_kit.bench import (MixingSpec, electron_problem, gen_mixing,
+                            model_dataset, nnls_problem, polygon_problem,
+                            random_nnls_instance, synth5)
+from adis_kit.contrast import (ConstraintSet, LogCoshNegentropy,
+                               ProblemFactory)
 from adis_kit.nlp import (
     AugLagConfig,
     DenseQuasiNewton,
     NlpProblem,
     SolveStatus,
     SolveTrace,
+    TraceRecord,
+    add_slacks,
     inner_solve,
     kkt_residual,
+    project_box,
     solve,
 )
+from adis_kit.nlp.solver import (DELTA0, MERIT_ROUNDING, MU0, MU_FLOOR,
+                                 RHO_ACCEPT, THETA_H, THETA_L, InnerResult,
+                                 NlpSolution, RawEval)
+from adis_kit.pursuit import PursuitConfig, decompose, run_stages
+from adis_kit.whiten import DataMatrix, center, fit_ppca
+from test_contrast import mean_abs
+from test_subproblem import _reference_cauchy_point, _reference_steihaug_cg
 
 
 def quadratic_model(B, g0):
@@ -398,3 +413,332 @@ class TestOuterSolve:
             AugLagConfig(qn_kind="nope").validate()
         with pytest.raises(ValueError):
             AugLagConfig(qn_kind="lbfgs").validate()
+
+
+# The solve chain as it was before its loop was rewritten for fewer numpy
+# calls: solve, inner_solve, the evaluation wrappers, the quasi-Newton
+# update, the radius update and the KKT stamp, on the kernels kept in
+# test_subproblem. The rewrite must give the same bits, so these stay as the
+# reference.
+
+
+def _reference_trust_region_update(rho, step, delta):
+    if rho > 0.75:
+        step_norm = float(np.abs(step).max()) if np.size(step) else 0.0
+        if step_norm > 0.8 * delta:
+            return 2.0 * delta
+        return delta
+    if rho >= 0.1:
+        return delta
+    return 0.5 * delta
+
+
+class _ReferenceQuasiNewton:
+    """Dense SR1 or BFGS, updated at every iteration, accepted or not."""
+
+    def __init__(self, n, kind, gamma):
+        self.kind = kind
+        self.B = gamma * np.eye(n)
+
+    def update(self, s, y):
+        if float(s @ s) == 0.0:
+            raise ValueError("zero step")
+        B = self.B
+        if self.kind == "sr1":
+            w = y - B @ s
+            den = float(w @ s)
+            if abs(den) <= 1e-8 * np.linalg.norm(s) * np.linalg.norm(w):
+                return False
+            self.B = B + np.outer(w, w) / den
+            return True
+        ys = float(y @ s)
+        if ys <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            return False
+        Bs = B @ s
+        sBs = float(s @ Bs)
+        if sBs <= 0.0:
+            return False
+        self.B = B + np.outer(y, y) / ys - np.outer(Bs, Bs) / sBs
+        return True
+
+
+def _reference_projected_gradient_norm(x, g, lower, upper):
+    step = x - np.minimum(np.maximum(x - g, lower), upper)
+    return float(np.abs(step).max()) if step.size else 0.0
+
+
+def _reference_kkt_residual(problem, x, lam):
+    _, g = problem.eval_objective(x)
+    if problem.n_eq:
+        _, J = problem.eval_eq(x)
+        g = g - J.T @ lam
+    step = x - project_box(x - g, problem.lower, problem.upper)
+    grad_res = float(np.max(np.abs(step))) if step.size else 0.0
+    if problem.n_eq:
+        c, _ = problem.eval_eq(x)
+        return grad_res, float(np.max(np.abs(c)))
+    return grad_res, 0.0
+
+
+def _reference_model(problem, lam, mu):
+    def model(x):
+        f, g = problem.eval_objective(x)
+        c, J = problem.eval_eq(x)
+        raw = RawEval(f=f, g=g, c=c, J=J)
+        return _reference_merit(raw, lam, mu)
+    return model
+
+
+def _reference_merit(raw, lam, mu):
+    value = raw.f - float(lam @ raw.c) + 0.5 * mu * float(raw.c @ raw.c)
+    return value, raw.g - raw.J.T @ (lam - mu * raw.c), raw
+
+
+def _reference_inner_solve(model, x_start, lower, upper, eta_grad, j_max, qn,
+                           on_iteration, start_eval):
+    x = project_box(np.asarray(x_start, dtype=float), lower, upper)
+    value, grad, payload = start_eval
+    pg = _reference_projected_gradient_norm(x, grad, lower, upper)
+    if pg <= eta_grad:
+        return InnerResult(x=x, success=True, iterations=0, payload=payload)
+    delta = DELTA0
+    for j in range(1, j_max + 1):
+        B = qn.B
+        lo = np.maximum(lower - x, -delta)
+        hi = np.minimum(upper - x, delta)
+        p, active, _ = _reference_cauchy_point(B, grad, lo, hi)
+        step = p
+        free = ~active
+        if free.any():
+            B_red = B[np.ix_(free, free)]
+            g_red = (grad + B @ p)[free]
+            v_lo = np.minimum(lo[free] - p[free], 0.0)
+            v_hi = np.maximum(hi[free] - p[free], 0.0)
+            gr_norm = np.linalg.norm(g_red)
+            if gr_norm > 0.0:
+                tol = min(0.1, np.sqrt(gr_norm))
+                v = _reference_steihaug_cg(B_red, g_red, delta=np.inf,
+                                           tol=tol, box=(v_lo, v_hi),
+                                           abs_tol=0.5 * eta_grad)
+                step = p.copy()
+                step[free] += v
+        step_norm = float(np.max(np.abs(step)))
+        if step_norm < 1e-15 * (1.0 + float(np.max(np.abs(x)))):
+            return InnerResult(x=x, success=False, iterations=j,
+                               payload=payload)
+        predicted = -(float(grad @ step) + 0.5 * float(step @ (B @ step)))
+        x_trial = np.minimum(np.maximum(x + step, lower), upper)
+        value_trial, grad_trial, payload_trial = model(x_trial)
+        if predicted > MERIT_ROUNDING * max(1.0, abs(value)):
+            rho = (value - value_trial) / predicted
+        elif predicted > 0:
+            rho = 1.0
+        else:
+            rho = -np.inf
+        accepted = rho > RHO_ACCEPT
+        delta = _reference_trust_region_update(
+            rho if math.isfinite(rho) else -1.0, step, delta)
+        applied = qn.update(x_trial - x, grad_trial - grad)
+        if accepted:
+            x, value, grad, payload = (x_trial, value_trial, grad_trial,
+                                       payload_trial)
+            pg = _reference_projected_gradient_norm(x, grad, lower, upper)
+        on_iteration(j, x, value, grad, pg, delta, rho, accepted,
+                     not applied, payload)
+        if pg <= eta_grad:
+            return InnerResult(x=x, success=True, iterations=j,
+                               payload=payload)
+    return InnerResult(x=x, success=False, iterations=j_max, payload=payload)
+
+
+def _reference_solve(problem, x0, cfg):
+    converted = problem.n_ineq > 0
+    prob = add_slacks(problem) if converted else problem
+    z = np.asarray(x0, dtype=float).copy()
+    if converted and z.shape == (problem.dim,):
+        g0, _ = problem.eval_ineq(z)
+        z = np.concatenate([z, np.maximum(g0, 0.0)])
+    x = project_box(z, prob.lower, prob.upper)
+    lam = np.zeros(prob.n_eq)
+    mu = MU0
+    schedule = prob.n_eq > 0
+    if schedule:
+        eta_con, eta_grad = mu ** -0.1, 1.0 / mu
+    else:
+        eta_con, eta_grad = cfg.eta_con_star, cfg.eta_grad_star
+    f0, g0 = prob.eval_objective(x)
+    c0, J0 = prob.eval_eq(x)
+    ev = RawEval(f=f0, g=g0, c=c0, J=J0)
+    gamma = max(1.0, float(np.max(np.abs(ev.g))) if ev.g.size else 1.0)
+    qn = _ReferenceQuasiNewton(prob.dim, cfg.qn_kind, gamma)
+    trace = SolveTrace()
+    status = SolveStatus.MAX_ITERATIONS
+    n_inner_total = 0
+    outer_done = 0
+    for k in range(cfg.max_outer):
+        outer_done = k + 1
+
+        def on_iter(j, xi, L, gi, pg, delta, rho, accepted, qn_skipped,
+                    payload, _k=k):
+            trace.append(TraceRecord(
+                outer=_k, inner=j, f=payload.f, lagrangian=L, pg_norm=pg,
+                c_norm=payload.c_norm,
+                lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
+                mu=mu, delta=delta,
+                rho=None if not np.isfinite(rho) else float(rho),
+                accepted=accepted, qn_skipped=qn_skipped,
+                eta_con=eta_con, eta_grad=eta_grad))
+
+        failed = False
+        while True:
+            res = _reference_inner_solve(
+                _reference_model(prob, lam, mu), x, prob.lower, prob.upper,
+                eta_grad, cfg.j_max, qn, on_iter,
+                _reference_merit(ev, lam, mu))
+            n_inner_total += res.iterations
+            if res.success:
+                x, ev = res.x, res.payload
+                break
+            if not schedule:
+                failed = np.array_equal(res.x, x)
+                if failed:
+                    status = SolveStatus.INNER_FAILURE
+                x, ev = res.x, res.payload
+                break
+            mu = THETA_L * mu
+            if mu < MU_FLOOR:
+                x, ev = res.x, res.payload
+                status = SolveStatus.INNER_FAILURE
+                failed = True
+                break
+            eta_con, eta_grad = mu ** -0.1, 1.0 / mu
+        if failed:
+            break
+        c_norm = ev.c_norm
+        if c_norm <= eta_con:
+            kkt_grad = _reference_projected_gradient_norm(
+                x, ev.g - ev.J.T @ lam, prob.lower, prob.upper)
+            if c_norm <= cfg.eta_con_star and kkt_grad <= cfg.eta_grad_star:
+                status = SolveStatus.CONVERGED
+                break
+            if schedule:
+                lam = lam - mu * ev.c
+                eta_con = eta_con / mu ** 0.9
+                eta_grad = eta_grad / mu
+        else:
+            mu = THETA_H * mu
+            eta_con, eta_grad = mu ** -0.1, 1.0 / mu
+    if not trace.records:
+        L, grad, _ = _reference_merit(ev, lam, mu)
+        trace.append(TraceRecord(
+            outer=outer_done - 1, inner=0, f=ev.f, lagrangian=L,
+            pg_norm=_reference_projected_gradient_norm(x, grad, prob.lower,
+                                                       prob.upper),
+            c_norm=ev.c_norm,
+            lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
+            mu=mu, delta=DELTA0, rho=None, accepted=True,
+            qn_skipped=False, eta_con=eta_con, eta_grad=eta_grad))
+    kkt_grad, kkt_con = _reference_kkt_residual(prob, x, lam)
+    trace.stamp_final(status.value, kkt_grad, kkt_con)
+    n0 = problem.dim
+    return NlpSolution(x=x[:n0], lam=lam, f=ev.f, status=status, trace=trace,
+                       kkt_grad=kkt_grad, kkt_con=kkt_con,
+                       slack=x[n0:] if converted else None,
+                       n_inner=n_inner_total, n_outer=outer_done)
+
+
+def _bits(value):
+    """A value's exact identity: floats and arrays by their bytes."""
+    if isinstance(value, float):
+        return ("float", float.hex(value))
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return (type(value).__name__, value)
+
+
+def _assert_same_solution(sol, ref):
+    for name in ("x", "lam", "f", "status", "kkt_grad", "kkt_con", "slack",
+                 "n_inner", "n_outer"):
+        assert _bits(getattr(sol, name)) == _bits(getattr(ref, name)), name
+    assert len(sol.trace) == len(ref.trace)
+    for got, want in zip(sol.trace.records, ref.trace.records):
+        for name in got.__dataclass_fields__:
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), \
+                (name, got, want)
+
+
+def _recorded_pursuit_solves(monkeypatch, run):
+    """Every (problem, x0, config) the pursuit solves while ``run()`` runs."""
+    import adis_kit.pursuit as pursuit
+    seen = []
+    original = pursuit.solve
+
+    def recording(problem, x0=None, config=None):
+        seen.append((problem, x0, config))
+        return original(problem, x0=x0, config=config)
+
+    monkeypatch.setattr(pursuit, "solve", recording)
+    run()
+    return seen
+
+
+def _check_against_reference(solves):
+    for problem, x0, cfg in solves:
+        _assert_same_solution(solve(problem, x0=x0, config=cfg),
+                              _reference_solve(problem, x0, cfg))
+
+
+class TestRewrittenSolverMatchesReference:
+    def test_bss_synth5_stage1_and_stage2(self, monkeypatch):
+        # one operation of the bss-synth5 benchmark workload
+        S = synth5(n=2000)
+        A = gen_mixing(MixingSpec(family="uniform-random", dim=5, seed=41))
+        cfg = PursuitConfig(rng_seed=7, channel_center=False)
+        solves = _recorded_pursuit_solves(
+            monkeypatch, lambda: decompose(DataMatrix(A @ S), q=5,
+                                           config=cfg))
+        moved = [p.dim for p, _, _ in solves]
+        assert moved == [4, 4, 3, 3, 2, 2, 1, 1, 10]
+        _check_against_reference(solves)
+
+    def test_bss_noisy_stage1_and_stage2(self, monkeypatch):
+        # the bss-noisy-long operation at a fifth of its samples
+        X = model_dataset(p=12, q=5, n=4000, sigma=0.5, family="uniform",
+                          seed=5)
+        cfg = PursuitConfig(rng_seed=2)
+        solves = _recorded_pursuit_solves(
+            monkeypatch, lambda: decompose(DataMatrix(X), q=5, config=cfg))
+        assert len(solves) == 9 and solves[-1][0].dim == 10
+        _check_against_reference(solves)
+
+    @pytest.mark.parametrize("kind", ["eq", "ineq"])
+    def test_user_constrained_pursuit(self, monkeypatch, kind):
+        # mean |w' x| = 0.75 runs the tolerance schedule; >= 0.75 adds
+        # slacks with a lower bound of 0
+        rng = np.random.default_rng(0)
+        S = rng.laplace(size=(3, 3000))
+        A = gen_mixing(MixingSpec(family="uniform-random", dim=3, seed=8))
+        X = fit_ppca(center(A @ S, channel_center=False), 3).x_tilde
+        factory = ProblemFactory(
+            LogCoshNegentropy(),
+            constraints=ConstraintSet(**{kind: [(mean_abs(0.75), 1)]}))
+        cfg = PursuitConfig(n_seeds=100, rng_seed=1)
+        solves = _recorded_pursuit_solves(
+            monkeypatch, lambda: run_stages(X, factory, cfg))
+        assert all(p.n_eq + p.n_ineq > 0 for p, _, _ in solves)
+        _check_against_reference(solves)
+
+    @pytest.mark.parametrize("make", [
+        lambda: electron_problem(8, seed=0),
+        *[(lambda s=s: polygon_problem(6, seed=s))
+          for s in (None, 0, 1, 2, 3)],
+        *[(lambda s=s: nnls_problem(*random_nnls_instance(40, 20, seed=s)))
+          for s in (0, 1, 2)],
+    ], ids=["electron-8", "polygon-fan", "polygon-0", "polygon-1",
+            "polygon-2", "polygon-3", "nnls-0", "nnls-1", "nnls-2"])
+    @pytest.mark.parametrize("qn_kind", ["sr1", "bfgs"])
+    def test_fixtures(self, make, qn_kind):
+        problem = make()
+        cfg = AugLagConfig(qn_kind=qn_kind)
+        _assert_same_solution(solve(problem, config=cfg),
+                              _reference_solve(problem, problem.x0, cfg))

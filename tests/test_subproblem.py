@@ -2,31 +2,30 @@ import numpy as np
 import pytest
 
 from adis_kit.nlp import cauchy_point, steihaug_cg, trust_region_update
-from adis_kit.nlp.subproblem import ACTIVE_TOL
+from adis_kit.nlp.subproblem import ACTIVE_TOL, _max_step_in_box
 
 
 class TestTrustRegionUpdate:
+    # the second argument is the step's inf-norm
     def test_expand_on_good_step_at_boundary(self):
-        step = np.array([1.0, 0.2])
-        assert trust_region_update(0.9, step, 1.0) == 2.0
+        assert trust_region_update(0.9, 1.0, 1.0) == 2.0
 
     def test_hold_on_good_step_inside(self):
-        step = np.array([0.5, 0.2])
-        assert trust_region_update(0.9, step, 1.0) == 1.0
+        assert trust_region_update(0.9, 0.5, 1.0) == 1.0
 
     def test_hold_on_moderate_ratio(self):
-        assert trust_region_update(0.5, np.array([1.0]), 1.0) == 1.0
+        assert trust_region_update(0.5, 1.0, 1.0) == 1.0
 
     def test_shrink_on_poor_ratio(self):
-        assert trust_region_update(0.05, np.array([1.0]), 1.0) == 0.5
+        assert trust_region_update(0.05, 1.0, 1.0) == 0.5
 
     def test_branch_boundaries(self):
-        assert trust_region_update(0.1, np.array([1.0]), 2.0) == 2.0
-        assert trust_region_update(0.75, np.array([2.0]), 2.0) == 2.0
+        assert trust_region_update(0.1, 1.0, 2.0) == 2.0
+        assert trust_region_update(0.75, 2.0, 2.0) == 2.0
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
-            trust_region_update(0.5, np.array([1.0]), 0.0)
+            trust_region_update(0.5, 1.0, 0.0)
 
 
 class TestSteihaug:
@@ -328,3 +327,52 @@ class TestRewrittenKernelsMatchReference:
             v = steihaug_cg(B_red, g_red, **kw)
             ref = _reference_steihaug_cg(B_red, g_red, **kw)
             assert np.array_equal(v, ref) and _same_bits(v, ref)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_float_bounds_match_arrays(self, seed):
+        # the trust region alone, as inner_solve passes it for a problem
+        # without finite bounds: -delta .. delta as floats
+        B, g, _, _, _, _, delta = _random_subproblem(seed)
+        lo, hi = np.full(g.size, -delta), np.full(g.size, delta)
+        cp = cauchy_point(B, g, -delta, delta)
+        p, active, decrease = _reference_cauchy_point(B, g, lo, hi)
+        assert _same_bits(cp.p, p) and np.array_equal(cp.active, active)
+        assert float.hex(cp.model_decrease) == float.hex(decrease)
+
+
+def _vectorized_max_step_in_box(v, d, lo, hi):
+    # the form the Python loop replaced
+    alpha = np.divide(np.where(d > 0, hi - v, lo - v), d,
+                      out=np.full(d.size, np.inf), where=d != 0)
+    return max(float(alpha.min()), 0.0)
+
+
+class TestMaxStepInBox:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_vectorized_form(self, seed):
+        # zero, signed-zero and NaN directions, infinite bounds, points on
+        # and just outside a face
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        lo = -rng.uniform(0.0, 2.0, size=n)
+        hi = rng.uniform(0.0, 2.0, size=n)
+        lo[rng.random(n) < 0.2] = -np.inf
+        hi[rng.random(n) < 0.2] = np.inf
+        v = rng.uniform(-1.0, 1.0, size=n) * 0.5
+        on_face = rng.random(n) < 0.2
+        v[on_face] = np.where(np.isfinite(hi), hi, 0.0)[on_face]
+        d = rng.standard_normal(n)
+        d[rng.random(n) < 0.2] = 0.0
+        d[rng.random(n) < 0.1] = -0.0
+        if seed % 5 == 0:
+            d[rng.integers(n)] = np.nan
+        if seed % 7 == 0:
+            v[rng.integers(n)] = hi.max() + 1e-3     # outside the box
+        with np.errstate(invalid="ignore"):
+            want = _vectorized_max_step_in_box(v, d, lo, hi)
+        got = _max_step_in_box(v, d, lo.tolist(), hi.tolist())
+        assert float.hex(got) == float.hex(want)
+
+    def test_no_movement_allows_any_step(self):
+        zero = np.zeros(3)
+        assert _max_step_in_box(zero, zero, [-1.0] * 3, [1.0] * 3) == np.inf
