@@ -25,14 +25,24 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+def _sr1_terms(B: np.ndarray, s: np.ndarray, y: np.ndarray, s_norm: float):
+    """``(w, den)`` of the SR1 update of ``B`` by ``(s, y)``, with ``w = y -
+    B s`` and ``den = w's``; None when the denominator is unsafe."""
+    w = y - B.dot(s)
+    den = float(w.dot(s))
+    if abs(den) <= SR1_SKIP_FACTOR * s_norm * _norm(w):
+        return None
+    return w, den
+
+
 def sr1_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, s_norm: float
                ) -> Tuple[np.ndarray, bool]:
     """One symmetric rank-1 update, ``s_norm`` being ``|s|``; skipped when
     the denominator is unsafe."""
-    w = y - B.dot(s)
-    den = float(w.dot(s))
-    if abs(den) <= SR1_SKIP_FACTOR * s_norm * _norm(w):
+    terms = _sr1_terms(B, s, y, s_norm)
+    if terms is None:
         return B, False
+    w, den = terms
     # B + outer(w, w) / den, built in the outer product's own buffer
     M = np.multiply.outer(w, w)
     M /= den
@@ -40,17 +50,27 @@ def sr1_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, s_norm: float
     return M, True
 
 
+def _bfgs_terms(B: np.ndarray, s: np.ndarray, y: np.ndarray, s_norm: float):
+    """``(ys, Bs, sBs)`` of the BFGS update of ``B`` by ``(s, y)``; None
+    when s'y fails the curvature floor or s'Bs is not positive."""
+    ys = float(y.dot(s))
+    if ys <= BFGS_CURVATURE_FLOOR * s_norm * _norm(y):
+        return None
+    Bs = B.dot(s)
+    sBs = float(s.dot(Bs))
+    if sBs <= 0.0:
+        return None
+    return ys, Bs, sBs
+
+
 def bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, s_norm: float
                 ) -> Tuple[np.ndarray, bool]:
     """One BFGS update, ``s_norm`` being ``|s|``; skipped when s'y fails the
     curvature floor."""
-    ys = float(y.dot(s))
-    if ys <= BFGS_CURVATURE_FLOOR * s_norm * _norm(y):
+    terms = _bfgs_terms(B, s, y, s_norm)
+    if terms is None:
         return B, False
-    Bs = B.dot(s)
-    sBs = float(s.dot(Bs))
-    if sBs <= 0.0:
-        return B, False
+    ys, Bs, sBs = terms
     # (B + outer(y, y) / ys) - outer(Bs, Bs) / sBs
     M = np.multiply.outer(y, y)
     M /= ys
@@ -143,8 +163,10 @@ class LimitedQuasiNewton:
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         # the skip rule is evaluated against the current matrix, as in the
-        # full-memory recursion
-        _, applied = quasi_newton_update(self.matrix(), s, y, self.kind)
+        # full-memory recursion, from the terms that decide it alone
+        s, y, s_norm = _check_pair(s, y)
+        terms = _sr1_terms if self.kind == "sr1" else _bfgs_terms
+        applied = terms(self.matrix(), s, y, s_norm) is not None
         if applied:
             self._pairs.append((s.copy(), y.copy()))
             self._cache = None

@@ -83,16 +83,35 @@ class TestCompare:
 
 class TestCompareDigests:
     def test_failed_operations_never_match(self):
-        parent = {"digests": {"warmup": ["w", "w"], "ops": ["a", "", "c"]}}
+        parent = {"digests": {"warmup": ["w", "w"], "ops": ["a", "", "c"],
+                              "objective_rel": [1.0, 0.0, 1.5]}}
         change = {"digests": {"warmup": ["w", "w"],
-                              "ops": ["a", "", "x", "d"]}}
+                              "ops": ["a", "", "x", "d"],
+                              "objective_rel": [1.0, 0.0, 1.25, 1.0]}}
         (row,) = ab_pairs.compare_digests([(parent, change)])
         # the operations both sides ran; the empty digest of a failed
         # operation matches nothing, not even another failure
-        assert row == {"warmup_match": True, "common_ops": 3, "same_ops": 1}
+        assert row == {"warmup_match": True, "common_ops": 3, "same_ops": 1,
+                       "completed_ops": 2, "max_objective_delta": 0.25}
 
     def test_warmup_mismatch(self):
-        parent = {"digests": {"warmup": ["w"], "ops": []}}
-        change = {"digests": {"warmup": ["v"], "ops": []}}
+        parent = {"digests": {"warmup": ["w"], "ops": [],
+                              "objective_rel": []}}
+        change = {"digests": {"warmup": ["v"], "ops": [],
+                              "objective_rel": []}}
         (row,) = ab_pairs.compare_digests([(parent, change)])
-        assert row == {"warmup_match": False, "common_ops": 0, "same_ops": 0}
+        assert row == {"warmup_match": False, "common_ops": 0, "same_ops": 0,
+                       "completed_ops": 0, "max_objective_delta": None}
+
+    def test_objective_change_of_completed_operations_only(self):
+        # a failed operation's objective_rel (0.0) is no output to compare;
+        # the largest change is taken over the operations both completed,
+        # whether their digests match or not
+        parent = {"digests": {"warmup": ["w"], "ops": ["a", "b", "c", "d"],
+                              "objective_rel": [1.0, 1.0, 1.0, 1.0]}}
+        change = {"digests": {"warmup": ["w"], "ops": ["a", "", "y", "z"],
+                              "objective_rel": [1.0, 0.0, 1.0 + 2e-14,
+                                                1.0 - 3e-14]}}
+        (row,) = ab_pairs.compare_digests([(parent, change)])
+        assert row["completed_ops"] == 3 and row["same_ops"] == 1
+        assert row["max_objective_delta"] == pytest.approx(3e-14, rel=1e-3)

@@ -8,6 +8,7 @@ from adis_kit.contrast import (
     SCORE_BLOCK_ELEMENTS,
     ProblemFactory,
     cayley_rotation,
+    _mean_logcosh,
     cayley_row0,
     g_logcosh,
     gauss_expectation,
@@ -95,6 +96,90 @@ class TestGaussExpectation:
     def test_minimum_node_count(self):
         with pytest.raises(ValueError):
             gauss_expectation(40)
+
+
+def _reference_mean_logcosh(z):
+    """Mean of log cosh over ``z`` at 40 digits, rounded once."""
+    import mpmath
+    with mpmath.workdps(40):
+        total = mpmath.fsum(mpmath.log(mpmath.cosh(mpmath.mpf(float(v))))
+                            for v in z)
+        return float(total / len(z))
+
+
+class TestMeanLogcoshKernel:
+    """The block-product kernel against a 40-digit reference: one log per
+    16 samples, with the rows' last blocks ending mid-row."""
+
+    SIZES = [2, 15, 16, 17, 33, 600, 2000, 20000]
+
+    @staticmethod
+    def projection(family, n, seed=0):
+        rng = np.random.default_rng(seed + n)
+        if family == "laplace":
+            return rng.laplace(size=n) / np.sqrt(2.0)
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("family", ["laplace", "uniform"])
+    def test_mean_within_1e15_of_reference(self, family, n):
+        z = self.projection(family, n)
+        ref = _reference_mean_logcosh(z)
+        got = _mean_logcosh(z, np.empty_like(z))
+        assert abs(float(got) - ref) <= 1e-15
+        # in place, as scores runs it, z itself is the scratch
+        assert _mean_logcosh(z.copy(), z) == got
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_match_single_rows(self, n):
+        Z = np.array([self.projection(f, n, seed=s)
+                      for s in range(3) for f in ("laplace", "uniform")])
+        means = _mean_logcosh(Z, np.empty_like(Z))
+        assert means.shape == (6,)
+        for z, m in zip(Z, means):
+            assert m == pytest.approx(_mean_logcosh(z, np.empty_like(z)),
+                                      rel=1e-13, abs=0)
+            assert abs(m - _reference_mean_logcosh(z)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [17, 33, 600])
+    def test_large_values(self, n):
+        # exp(-2|z|) is 0 from |z| = 373 on; 1e300 dwarfs the rest
+        z = self.projection("laplace", n)
+        z[[0, 5, 16]] = [373.0, -400.0, 1e4]
+        ref = _reference_mean_logcosh(z)
+        assert _mean_logcosh(z, np.empty_like(z)) == pytest.approx(
+            ref, rel=1e-15, abs=1e-15)
+        z[n // 2] = -1e300
+        ref = _reference_mean_logcosh(z)
+        assert _mean_logcosh(z, np.empty_like(z)) == pytest.approx(
+            ref, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 17, 600])
+    def test_infinities_and_nan(self, n):
+        z = self.projection("uniform", n)
+        for bad in (np.inf, -np.inf):
+            zb = z.copy()
+            zb[-1] = bad
+            assert _mean_logcosh(zb, np.empty_like(zb)) == np.inf
+        zb = z.copy()
+        zb[0] = np.nan
+        assert np.isnan(_mean_logcosh(zb, np.empty_like(zb)))
+        Z = np.array([z, zb, z])
+        means = _mean_logcosh(Z, np.empty_like(Z))
+        assert np.isnan(means[1]) and np.all(np.isfinite(means[[0, 2]]))
+
+    def test_nan_propagates_through_the_contrast(self):
+        # a NaN sample reaches every projection, even one with a zero
+        # weight on its channel (0 * NaN is NaN), and every gradient entry
+        X = np.random.default_rng(6).laplace(size=(3, 40))
+        X[1, 7] = np.nan
+        D = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
+        for w in D:
+            value, grad = negentropy(w, X)
+            assert np.isnan(value) and np.all(np.isnan(grad))
+        values, grads = negentropy(D, X)
+        assert np.all(np.isnan(values)) and np.all(np.isnan(grads))
+        assert np.all(np.isnan(LogCoshNegentropy().scores(D, X)))
 
 
 class TestNegentropy:

@@ -206,7 +206,10 @@ class TestExtractComponent:
         assert len(info.value.traces) == 10
         assert "component 1" in str(info.value)
 
-    @pytest.mark.parametrize("rng_seed", [4, 34, 51, 56, 58])
+    # the first five rng_seed in 0..59 where both retained seeds of a
+    # component fail and the walk goes on; the set moves with the rounding
+    # of the contrast, so it is re-derived by this rule when that changes
+    @pytest.mark.parametrize("rng_seed", [19, 34, 51, 56, 58])
     def test_constrained_seeds_walk_on_past_failed_solves(self, laplace_xt,
                                                           rng_seed,
                                                           monkeypatch):

@@ -3,11 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import adis_kit.nlp.quasi_newton as qn_module
+from adis_kit.bench import electron_problem
 from adis_kit.nlp import (
+    AugLagConfig,
     DenseQuasiNewton,
     LimitedQuasiNewton,
     make_quasi_newton,
     quasi_newton_update,
+    solve,
 )
 
 
@@ -123,3 +127,85 @@ class TestLimitedMemory:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_quasi_newton("dfp", 3, gamma=1.0)
+
+
+class _FullUpdateLimitedQuasiNewton(LimitedQuasiNewton):
+    """The limited-memory update that decides the skip by building the whole
+    updated matrix and discarding it."""
+
+    def update(self, s, y):
+        _, applied = qn_module.quasi_newton_update(self.matrix(), s, y,
+                                                   self.kind)
+        if applied:
+            self._pairs.append((s.copy(), y.copy()))
+            self._cache = None
+            self.n_applied += 1
+        else:
+            self.n_skipped += 1
+        return applied
+
+
+class TestLimitedSkipFromTerms:
+    """``LimitedQuasiNewton.update`` decides the skip from the terms that
+    decide it: the same matrices, skips and solution as building the whole
+    updated matrix, with one rank-one update fewer per pair offered."""
+
+    @staticmethod
+    def run(cls, kind, monkeypatch):
+        import adis_kit.nlp.solver as solver_module
+        log, calls = [], [0]
+        full_update = qn_module.quasi_newton_update
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return full_update(*args, **kwargs)
+
+        class Recorded(cls):
+            def update(self, s, y):
+                # update reads matrix() first anyway, so this adds no work
+                B = self.matrix().tobytes()
+                applied = super().update(s, y)
+                log.append((B, applied))
+                return applied
+
+        monkeypatch.setattr(qn_module, "quasi_newton_update", counted)
+        monkeypatch.setattr(
+            solver_module, "make_quasi_newton",
+            lambda kind_, n, gamma, memory: Recorded(n, kind_, gamma, memory))
+        sol = solve(electron_problem(20), config=AugLagConfig(qn_kind=kind))
+        monkeypatch.undo()
+        return sol, log, calls[0]
+
+    @pytest.mark.parametrize("kind", ["l-sr1", "l-bfgs"])
+    def test_same_bits_fewer_updates(self, kind, monkeypatch):
+        sol, log, calls = self.run(LimitedQuasiNewton, kind, monkeypatch)
+        ref, ref_log, ref_calls = self.run(_FullUpdateLimitedQuasiNewton,
+                                           kind, monkeypatch)
+        assert log == ref_log
+        assert any(applied for _, applied in log)
+        assert sol.x.tobytes() == ref.x.tobytes()
+        assert sol.lam.tobytes() == ref.lam.tobytes()
+        assert (sol.f, sol.status, sol.n_inner, sol.n_outer) == (
+            ref.f, ref.status, ref.n_inner, ref.n_outer)
+        # each pair offered no longer builds an updated matrix
+        assert ref_calls - calls == len(log)
+        assert calls / sol.n_inner < ref_calls / ref.n_inner - 0.9
+
+    @pytest.mark.parametrize("kind", ["l-sr1", "l-bfgs"])
+    def test_same_skips_on_pairs_that_fail(self, kind):
+        # negative curvature fails the BFGS floor, and y = B s leaves SR1 no
+        # denominator; both rules skip some pairs here and apply others
+        rng = np.random.default_rng(5)
+        new = LimitedQuasiNewton(4, kind=kind, memory=3)
+        old = _FullUpdateLimitedQuasiNewton(4, kind=kind, memory=3)
+        decisions = []
+        for i in range(40):
+            s = rng.standard_normal(4)
+            if i % 5 == 4:
+                y = new.matrix() @ s
+            else:
+                y = rng.standard_normal(4) + (2.0 if i % 3 else -0.5) * s
+            decisions.append(new.update(s, y))
+            assert old.update(s, y) == decisions[-1]
+            assert new.matrix().tobytes() == old.matrix().tobytes()
+        assert any(decisions) and not all(decisions)

@@ -13,8 +13,10 @@ claim rule holds: the change wins at least nine tenths of the pairs, and
 the medians differ by more than the distance between the parent's
 quartiles. It also compares the output digests from each run's detail line:
 per pair, whether the warm-up digests match and how many of the operations
-both sides ran have the same digest. A change meant to keep every output
-shows identical digests throughout. It uses the standard library only.
+both sides ran have the same digest, and the largest change of
+``objective_rel`` over the operations both sides completed. A change meant
+to keep every output shows identical digests throughout; one that moves
+outputs by rounding shows how far. It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from pathlib import Path
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``root``: its result line, with the
-    direction of every metric and the output digests (``warmup``, and
-    ``ops`` in operation order) taken from its detail line."""
+    direction of every metric and the outputs (``warmup`` digests, and the
+    ``ops`` digests and ``objective_rel`` values in operation order) taken
+    from its detail line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -42,7 +45,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     for name, metric in result["metrics"].items():
         metric["better"] = detail["metrics"][name]["better"]
     result["digests"] = {"warmup": detail["warmup_digests"],
-                         "ops": [r["digest"] for r in detail["ops"]]}
+                         "ops": [r["digest"] for r in detail["ops"]],
+                         "objective_rel": [r["objective_rel"]
+                                           for r in detail["ops"]]}
     return result
 
 
@@ -81,16 +86,24 @@ def compare(pairs, bounds: dict) -> list:
 
 
 def compare_digests(pairs) -> list:
-    """Per pair: whether both sides' warm-up digests match, and of the
+    """Per pair: whether both sides' warm-up digests match; of the
     operations both sides ran, how many have the same non-empty digest (a
-    failed operation has an empty one)."""
+    failed operation has an empty one); and of those both completed, how
+    many there are and the largest ``|objective_rel|`` difference (None
+    when there are none)."""
     rows = []
     for p, c in pairs:
         ops = list(zip(p["digests"]["ops"], c["digests"]["ops"]))
+        rels = zip(p["digests"]["objective_rel"],
+                   c["digests"]["objective_rel"])
+        deltas = [abs(a - b) for (da, db), (a, b) in zip(ops, rels)
+                  if da and db]
         rows.append({
             "warmup_match": p["digests"]["warmup"] == c["digests"]["warmup"],
             "common_ops": len(ops),
             "same_ops": sum(bool(a) and a == b for a, b in ops),
+            "completed_ops": len(deltas),
+            "max_objective_delta": max(deltas, default=None),
         })
     return rows
 
@@ -145,6 +158,12 @@ def main(argv=None) -> int:
           f"{sum(d['same_ops'] for d in digests)} of "
           f"{sum(d['common_ops'] for d in digests)} common operations "
           f"identical")
+    deltas = [d["max_objective_delta"] for d in digests
+              if d["max_objective_delta"] is not None]
+    print(f"  objective_rel: largest per-operation |change| "
+          f"{max(deltas, default=0.0):.3g} over "
+          f"{sum(d['completed_ops'] for d in digests)} operations both "
+          f"sides completed")
     if args.out is not None:
         args.out.write_text(json.dumps(
             {"workload": args.workload, "seed": args.seed,
