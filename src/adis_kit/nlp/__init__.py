@@ -18,6 +18,7 @@ from .quasi_newton import (
 from .solver import (
     AugLagConfig,
     NlpSolution,
+    SolveScale,
     SolveStatus,
     inner_solve,
     make_aug_lag_model,
@@ -33,6 +34,7 @@ __all__ = [
     "LimitedQuasiNewton",
     "NlpProblem",
     "NlpSolution",
+    "SolveScale",
     "SolveStatus",
     "SolveTrace",
     "TraceRecord",

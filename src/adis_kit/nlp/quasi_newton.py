@@ -2,10 +2,15 @@
 
 All variants expose the same small surface: ``update(s, y)`` returning whether
 the pair was applied, and ``matrix()`` returning the current dense
-approximation. Limited-memory variants keep the last ``memory`` pairs and
-rebuild the dense matrix from a scaled identity on demand (cached between
-updates); at the problem sizes this solver targets that is equivalent to the
-compact representation and avoids its middle-matrix degeneracies.
+approximation. Each also keeps ``pair_scale``, the curvature scale y'y / y's
+of the last pair offered with y's > 0 (Shanno & Phua 1978, Math. Program. 14;
+Nocedal & Wright 2006, eq. 6.20). Built with ``rescale_first``, a variant
+resets its matrix to that scale times I just before its first pair, when
+y's > 0, so only the first step is taken at the starting scale.
+Limited-memory variants keep the last ``memory`` pairs and rebuild the dense
+matrix from a scaled identity on demand (cached between updates); at the
+problem sizes this solver targets that is equivalent to the compact
+representation and avoids its middle-matrix degeneracies.
 """
 
 from __future__ import annotations
@@ -104,15 +109,36 @@ def quasi_newton_update(B: np.ndarray, s: np.ndarray, y: np.ndarray,
     raise ValueError(f"unknown quasi-Newton kind {kind!r}")
 
 
-class DenseQuasiNewton:
+class _PairScale:
+    """The scale bookkeeping both variants share."""
+
+    rescale_first = False
+    pair_scale = None
+
+    def _take_scale(self, s: np.ndarray, y: np.ndarray):
+        """Note y'y / y's of the pair when y's > 0 (and the ratio is
+        finite); return it when this is the first pair of a
+        ``rescale_first`` approximation, else None."""
+        ys = float(y.dot(s))
+        scale = float(y.dot(y)) / ys if ys > 0.0 else math.nan
+        first, self.rescale_first = self.rescale_first, False
+        if not math.isfinite(scale):
+            return None
+        self.pair_scale = scale
+        return scale if first else None
+
+
+class DenseQuasiNewton(_PairScale):
     """Full-memory SR1 or BFGS approximation held as a dense matrix."""
 
-    def __init__(self, n: int, kind: str = "sr1", gamma: float = 1.0):
+    def __init__(self, n: int, kind: str = "sr1", gamma: float = 1.0,
+                 rescale_first: bool = False):
         self.n = n
         self.kind = kind.lower()
         if self.kind not in ("sr1", "bfgs"):
             raise ValueError(f"unknown quasi-Newton kind {kind!r}")
         self._B = gamma * np.eye(n)
+        self.rescale_first = rescale_first
         self.n_skipped = 0
         self.n_applied = 0
 
@@ -124,6 +150,9 @@ class DenseQuasiNewton:
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         s, y, s_norm = _check_pair(s, y)
+        scale = self._take_scale(s, y)
+        if scale is not None:
+            self._B = scale * np.eye(self.n)
         rule = sr1_update if self.kind == "sr1" else bfgs_update
         self._B, applied = rule(self._B, s, y, s_norm)
         if applied:
@@ -136,11 +165,11 @@ class DenseQuasiNewton:
         return self._B
 
 
-class LimitedQuasiNewton:
+class LimitedQuasiNewton(_PairScale):
     """Limited-memory SR1 or BFGS over a window of recent (s, y) pairs."""
 
     def __init__(self, n: int, kind: str = "l-sr1", gamma: float = 1.0,
-                 memory: int = 10):
+                 memory: int = 10, rescale_first: bool = False):
         self.n = n
         base = kind.lower().replace("l-", "")
         if base not in ("sr1", "bfgs"):
@@ -148,6 +177,7 @@ class LimitedQuasiNewton:
         self.kind = base
         self.gamma0 = gamma
         self.memory = memory
+        self.rescale_first = rescale_first
         self._pairs: Deque[Tuple[np.ndarray, np.ndarray]] = deque(maxlen=memory)
         self._cache: np.ndarray | None = None
         self.n_skipped = 0
@@ -165,6 +195,10 @@ class LimitedQuasiNewton:
         # the skip rule is evaluated against the current matrix, as in the
         # full-memory recursion, from the terms that decide it alone
         s, y, s_norm = _check_pair(s, y)
+        scale = self._take_scale(s, y)
+        if scale is not None:
+            self.gamma0 = scale
+            self._cache = None
         terms = _sr1_terms if self.kind == "sr1" else _bfgs_terms
         applied = terms(self.matrix(), s, y, s_norm) is not None
         if applied:
@@ -188,10 +222,13 @@ class LimitedQuasiNewton:
 QN_KINDS = ("sr1", "bfgs", "l-sr1", "l-bfgs")
 
 
-def make_quasi_newton(kind: str, n: int, gamma: float, memory: int = 10):
+def make_quasi_newton(kind: str, n: int, gamma: float, memory: int = 10,
+                      rescale_first: bool = False):
     kind = kind.lower()
     if kind in ("sr1", "bfgs"):
-        return DenseQuasiNewton(n, kind=kind, gamma=gamma)
+        return DenseQuasiNewton(n, kind=kind, gamma=gamma,
+                                rescale_first=rescale_first)
     if kind in ("l-sr1", "l-bfgs"):
-        return LimitedQuasiNewton(n, kind=kind, gamma=gamma, memory=memory)
+        return LimitedQuasiNewton(n, kind=kind, gamma=gamma, memory=memory,
+                                  rescale_first=rescale_first)
     raise ValueError(f"unknown quasi-Newton kind {kind!r}")

@@ -23,10 +23,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .contrast import (ContrastFn, LogCoshNegentropy, ProblemFactory,
-                       cayley_rotation)
+                       cayley_row0, cayley_rotation)
 from .latdim import LatDimSummary, estimate_q
-from .nlp import AugLagConfig, SolveTrace, TraceRecord, solve
+from .nlp import AugLagConfig, SolveScale, SolveTrace, TraceRecord, solve
 from .whiten import DataMatrix, PpcaModel, SourceStats, center, fit_ppca, source_stats
+
+
+# Stage 1 solves whose scores agree to this relative tolerance count as
+# reaching one optimum. Two solves stopped at the 1e-6 gradient tolerance
+# next to one optimum differed by up to 9e-8 relative on the benchmark
+# workloads, solves at distinct optima by 1.2e-2 or more.
+TIE_REL_TOL = 1e-6
 
 
 class PursuitError(RuntimeError):
@@ -140,8 +147,10 @@ def _seed_first(basis: np.ndarray, z0: np.ndarray) -> np.ndarray:
 
 def extract_component(k: int, basis: np.ndarray, x_tilde: np.ndarray,
                       factory: ProblemFactory, config: PursuitConfig,
-                      rng: np.random.Generator
-                      ) -> Tuple[np.ndarray, float, SolveTrace]:
+                      rng: np.random.Generator,
+                      scale: Optional[SolveScale] = None
+                      ) -> Tuple[np.ndarray, float, SolveTrace,
+                                 Optional[SolveScale]]:
     """Extract direction ``k`` (1-based) in the span of the orthonormal rows
     of ``basis``, the space the earlier directions left.
 
@@ -149,18 +158,24 @@ def extract_component(k: int, basis: np.ndarray, x_tilde: np.ndarray,
     x = 0 that turns the lifted seed within that span. When every solve of
     the ``retained`` best seeds fails, the next ``retained`` seeds of the
     same Stage 0 ranking are tried, and so on, until a chunk has a converged
-    solve. Returns the rotated block of the best-scoring converged solve of
-    that chunk, its score and its trace: row 0 of the block is the
-    direction, and rows 1.. span what is left for the next component (none
-    after the last). Raises ``PursuitError`` with all traces when the
-    ranking is used up.
+    solve. The chunk's winner is its best-ranked converged solve whose score
+    is within ``TIE_REL_TOL`` (relative) of the best, so that solves reaching
+    one optimum are told apart by rank, not by rounding.
+
+    ``scale`` starts the first solve, and each converged solve's scale
+    starts the next; failed solves leave it as it was. Returns the winner's
+    rotated block, its score, its trace and the scale for the next solve:
+    row 0 of the block is the direction, and rows 1.. span what is left for
+    the next component (none after the last). Raises ``PursuitError`` with
+    all traces when the ranking is used up.
     """
     X = np.asarray(x_tilde, dtype=float)
     B = np.asarray(basis, dtype=float)
 
     if B.shape[0] == 1:
-        return _closed_form_last_component(factory, B, X,
-                                           config.solver.eta_con_star)
+        return (*_closed_form_last_component(factory, B, X,
+                                             config.solver.eta_con_star),
+                scale)
 
     ranking, _ = seed_search(factory.contrast, B, X, config.n_seeds, rng)
     traces, winners = [], []
@@ -169,24 +184,30 @@ def extract_component(k: int, basis: np.ndarray, x_tilde: np.ndarray,
             start = _seed_first(B, z0)
             problem = factory.rotation_problem(X, start, moved=1)
             sol = solve(problem, x0=np.zeros(problem.dim),
-                        config=config.solver)
+                        config=config.solver, scale=scale)
             traces.append(sol.trace)
             if sol.converged:
                 winners.append((-sol.f, sol.x, start, sol.trace))
+                scale = sol.scale
         if winners:
             break
     else:
         raise PursuitError(f"component {k}",
                            f"all {len(traces)} seed solves failed to converge",
                            traces)
-    value, x, start, trace = max(winners, key=lambda t: t[0])
-    # one rotation, for the winner only
-    return cayley_rotation(x, start)[0], value, trace
+    best = max(w[0] for w in winners)
+    value, x, start, trace = next(
+        w for w in winners if w[0] >= best - TIE_REL_TOL * abs(best))
+    # one rotation, for the winner only; row 0 is the direction the solve
+    # evaluated, so the score returned is that row's own
+    block = cayley_rotation(x, start)[0]
+    block[0] = cayley_row0(x, start)[0]
+    return block, value, trace, scale
 
 
 def refine_joint(Q_init: np.ndarray, values_init: np.ndarray,
                  x_tilde: np.ndarray, factory: ProblemFactory,
-                 config: PursuitConfig
+                 config: PursuitConfig, scale: Optional[SolveScale] = None
                  ) -> Tuple[np.ndarray, SolveTrace, bool, np.ndarray]:
     """Joint re-optimization of all directions from the Stage 1 solution.
 
@@ -199,13 +220,15 @@ def refine_joint(Q_init: np.ndarray, values_init: np.ndarray,
 
     Falls back to the input when the solve does not converge, or when it
     loses objective against a Stage 1 solution whose every row meets the
-    user constraints to ``eta_con_star``. Takes and returns per-row scores:
-    ``(Q, trace, fell_back, values)`` with the trace of the joint solve.
+    user constraints to ``eta_con_star``. ``scale`` starts the solve. Takes
+    and returns per-row scores: ``(Q, trace, fell_back, values)`` with the
+    trace of the joint solve.
     """
     X = np.asarray(x_tilde, dtype=float)
     Q_init = np.asarray(Q_init, dtype=float)
     problem = factory.rotation_problem(X, Q_init, moved=Q_init.shape[0])
-    sol = solve(problem, x0=np.zeros(problem.dim), config=config.solver)
+    sol = solve(problem, x0=np.zeros(problem.dim), config=config.solver,
+                scale=scale)
     if not sol.converged:
         return Q_init, sol.trace, True, values_init
 
@@ -237,7 +260,12 @@ def _fix_signs(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
                config: PursuitConfig) -> PursuitResult:
-    """Stage 0/1 deflation over all components plus optional Stage 2."""
+    """Stage 0/1 deflation over all components plus optional Stage 2.
+
+    Each solve without equality rows starts at the scale the last converged
+    solve before it ended with (see ``nlp.solve``): its trust radius and
+    curvature for the next Stage 1 solve, its radius alone for Stage 2.
+    """
     X = np.asarray(x_tilde, dtype=float)
     q = X.shape[0]
     seed_seq = np.random.SeedSequence(config.rng_seed)
@@ -247,10 +275,11 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     values: List[float] = []
     traces: List[SolveTrace] = []
     basis = np.eye(q)
+    scale = None
     for k in range(1, q + 1):
         rng = np.random.default_rng(children[k - 1])
-        block, value, trace = extract_component(k, basis, X, factory, config,
-                                                rng)
+        block, value, trace, scale = extract_component(k, basis, X, factory,
+                                                       config, rng, scale)
         rows.append(block[0])
         basis = block[1:]
         values.append(value)
@@ -262,8 +291,12 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
     fallback = False
     Q, stage2 = Q1, stage1
     if config.run_stage2 and q >= 2:
+        # the radius alone: with the curvature too, Stage 2 took more
+        # evaluations on both benchmark workloads
+        if scale is not None:
+            scale = SolveScale(scale.radius)
         Q, joint_trace, fallback, stage2 = refine_joint(Q1, stage1, X,
-                                                        factory, config)
+                                                        factory, config, scale)
 
     S = Q @ X
     signs = _fix_signs(Q, S)

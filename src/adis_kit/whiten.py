@@ -184,6 +184,5 @@ def source_stats(model: PpcaModel, centered: Centered, s_hat: np.ndarray,
     weighted = col_var[:, None] * s_hat ** 2
     denom = weighted.sum(axis=0)
     rv = np.zeros_like(weighted)
-    nz = denom > 0
-    rv[:, nz] = weighted[:, nz] / denom[nz]
+    np.divide(weighted, denom, out=rv, where=denom > 0)
     return SourceStats(cov_base=cov_base, sigma2=sigma2, rv=rv)

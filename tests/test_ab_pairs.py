@@ -92,7 +92,8 @@ class TestCompareDigests:
         # the operations both sides ran; the empty digest of a failed
         # operation matches nothing, not even another failure
         assert row == {"warmup_match": True, "common_ops": 3, "same_ops": 1,
-                       "completed_ops": 2, "max_objective_delta": 0.25}
+                       "completed_ops": 2, "max_objective_delta": 0.25,
+                       "max_objective_decrease": 0.25}
 
     def test_warmup_mismatch(self):
         parent = {"digests": {"warmup": ["w"], "ops": [],
@@ -101,7 +102,8 @@ class TestCompareDigests:
                               "objective_rel": []}}
         (row,) = ab_pairs.compare_digests([(parent, change)])
         assert row == {"warmup_match": False, "common_ops": 0, "same_ops": 0,
-                       "completed_ops": 0, "max_objective_delta": None}
+                       "completed_ops": 0, "max_objective_delta": None,
+                       "max_objective_decrease": None}
 
     def test_objective_change_of_completed_operations_only(self):
         # a failed operation's objective_rel (0.0) is no output to compare;
@@ -115,3 +117,20 @@ class TestCompareDigests:
         (row,) = ab_pairs.compare_digests([(parent, change)])
         assert row["completed_ops"] == 3 and row["same_ops"] == 1
         assert row["max_objective_delta"] == pytest.approx(3e-14, rel=1e-3)
+
+    def test_largest_decrease_is_signed(self):
+        # parent minus change: the operation that fell most sets it, however
+        # much another rose; when every operation rose it is negative
+        parent = {"digests": {"warmup": ["w"], "ops": ["a", "b", "c"],
+                              "objective_rel": [1.0, 1.0, 1.0]}}
+        change = {"digests": {"warmup": ["w"], "ops": ["x", "y", "z"],
+                              "objective_rel": [1.0 + 5e-8, 1.0 - 2e-9,
+                                                1.0 - 1e-9]}}
+        (row,) = ab_pairs.compare_digests([(parent, change)])
+        assert row["max_objective_delta"] == pytest.approx(5e-8, rel=1e-6)
+        assert row["max_objective_decrease"] == pytest.approx(2e-9, rel=1e-6)
+        rose = {"digests": {"warmup": ["w"], "ops": ["x", "y", "z"],
+                            "objective_rel": [1.0 + 3e-9, 1.0 + 1e-9,
+                                              1.0 + 2e-9]}}
+        (row,) = ab_pairs.compare_digests([(parent, rose)])
+        assert row["max_objective_decrease"] == pytest.approx(-1e-9, rel=1e-6)

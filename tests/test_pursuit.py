@@ -3,7 +3,8 @@ import pytest
 
 from adis_kit.bench import MixingSpec, gen_mixing, sir, sparse_bells, synth5
 from adis_kit.contrast import (ConstraintSet, LogCoshNegentropy,
-                               ProblemFactory, cayley_rotation, negentropy)
+                               ProblemFactory, cayley_row0, cayley_rotation,
+                               negentropy)
 from adis_kit.nlp import SolveTrace, add_slacks, check_gradients
 from adis_kit.pursuit import (
     PursuitConfig,
@@ -67,8 +68,8 @@ class TestCarriedBlock:
     def test_last_step_hands_on_an_empty_block(self, factory, laplace_xt):
         cfg = PursuitConfig(n_seeds=50, rng_seed=0)
         basis = np.eye(3)[2:]
-        block, value, _ = extract_component(3, basis, laplace_xt, factory,
-                                            cfg, np.random.default_rng(0))
+        block, value, _, _ = extract_component(3, basis, laplace_xt, factory,
+                                               cfg, np.random.default_rng(0))
         assert block.shape == (1, 3)
         assert block[1:].shape == (0, 3)
         assert abs(block[0] @ basis[0]) == 1.0
@@ -135,11 +136,12 @@ class TestExtractComponent:
         # two priors leave a one-dimensional manifold: +-w
         cfg = PursuitConfig(n_seeds=50, rng_seed=0)
         rng = np.random.default_rng(5)
-        b1, _, _ = extract_component(1, np.eye(3), laplace_xt, factory, cfg,
-                                     rng)
-        b2, _, _ = extract_component(2, b1[1:], laplace_xt, factory, cfg, rng)
-        b3, value, trace = extract_component(3, b2[1:], laplace_xt, factory,
-                                             cfg, rng)
+        b1, _, _, _ = extract_component(1, np.eye(3), laplace_xt, factory,
+                                        cfg, rng)
+        b2, _, _, _ = extract_component(2, b1[1:], laplace_xt, factory, cfg,
+                                        rng)
+        b3, value, trace, _ = extract_component(3, b2[1:], laplace_xt,
+                                                factory, cfg, rng)
         assert trace.final.status == "converged"
         v_flip, _ = negentropy(-b3[0], laplace_xt)
         assert value >= v_flip - 1e-15
@@ -173,8 +175,8 @@ class TestExtractComponent:
         a_star = angles[int(np.argmax(scores))]
         w_oracle = np.array([np.cos(a_star), np.sin(a_star)])
         cfg = PursuitConfig(rng_seed=1)
-        block, _, trace = extract_component(1, np.eye(2), Xt, factory, cfg,
-                                            np.random.default_rng(7))
+        block, _, trace, _ = extract_component(1, np.eye(2), Xt, factory, cfg,
+                                               np.random.default_rng(7))
         assert abs(block[0] @ w_oracle) >= 0.99
         assert trace.final.kkt_grad <= 1e-6
         assert trace.final.kkt_con <= 1e-6
@@ -184,10 +186,10 @@ class TestExtractComponent:
         # the earlier one; its value is the solver's own objective
         cfg = PursuitConfig(n_seeds=100, rng_seed=2)
         rng = np.random.default_rng(3)
-        b1, _, _ = extract_component(1, np.eye(3), laplace_xt, factory, cfg,
-                                     rng)
-        b2, value, trace = extract_component(2, b1[1:], laplace_xt, factory,
-                                             cfg, rng)
+        b1, _, _, _ = extract_component(1, np.eye(3), laplace_xt, factory,
+                                        cfg, rng)
+        b2, value, trace, _ = extract_component(2, b1[1:], laplace_xt,
+                                                factory, cfg, rng)
         w1, w2 = b1[0], b2[0]
         assert trace.final.status == "converged"
         for w in (w1, w2):
@@ -237,6 +239,44 @@ class TestExtractComponent:
         for w, trace in zip(res.Q_stage1[:2], res.component_traces[:2]):
             assert trace.final.status == "converged"
             assert abs(mean_abs(0.75)(w, laplace_xt)[0][0]) <= 1e-6
+
+
+    @pytest.mark.parametrize("ulps", [-1, 1])
+    def test_tied_scores_hand_on_the_better_ranked_seed(self, factory,
+                                                        laplace_xt, ulps,
+                                                        monkeypatch):
+        # both retained seeds reach one optimum; with the second solve's
+        # objective one ulp either side of the first's, the first seed of the
+        # ranking wins either way, and its block is handed on
+        import adis_kit.pursuit as pursuit
+        from dataclasses import replace
+        sols, starts = [], []
+        solve, seed_first = pursuit.solve, pursuit._seed_first
+
+        def nudged(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            if sols:
+                sol = replace(sol, f=float(np.nextafter(
+                    sols[0].f, ulps * np.inf)))
+            sols.append(sol)
+            return sol
+
+        def recorded(basis, z0):
+            starts.append(seed_first(basis, z0))
+            return starts[-1]
+
+        monkeypatch.setattr(pursuit, "solve", nudged)
+        monkeypatch.setattr(pursuit, "_seed_first", recorded)
+        cfg = PursuitConfig(n_seeds=100, rng_seed=0)
+        block, value, trace, _ = extract_component(
+            1, np.eye(3), laplace_xt, factory, cfg, np.random.default_rng(6))
+        assert len(sols) == 2 and all(sol.converged for sol in sols)
+        w = [cayley_row0(sol.x, start)[0] for sol, start in zip(sols, starts)]
+        assert abs(w[0] @ w[1]) >= 1.0 - 1e-6
+        assert (value, trace) == (-sols[0].f, sols[0].trace)
+        first = cayley_rotation(sols[0].x, starts[0])[0]
+        assert block[0].tobytes() == w[0].tobytes()
+        assert block[1:].tobytes() == first[1:].tobytes()
 
 
 class TestRunStages:
@@ -499,3 +539,65 @@ class TestDecompose:
         for row in res.S_hat:
             skew = np.mean((row - row.mean()) ** 3) / row.std() ** 3
             assert skew > 0
+
+
+# one decompose call whose outputs are printed as hex, run the same way in
+# this process and in a fresh one
+_SCALED_RUN = """
+import hashlib
+import numpy as np
+from adis_kit.bench import MixingSpec, gen_mixing, synth5
+from adis_kit.pursuit import PursuitConfig, decompose
+from adis_kit.whiten import DataMatrix
+A = gen_mixing(MixingSpec(family="uniform-random", dim=4, seed=3))
+res, _, _ = decompose(DataMatrix(A @ synth5(n=1500)[:4]), q=4,
+                      config=PursuitConfig(rng_seed=5, channel_center=False))
+h = hashlib.sha256()
+for part in (res.Q, res.Q_stage1, res.stage1_objectives,
+             res.stage2_objectives):
+    h.update(part.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestNoStateBetweenCalls:
+    """The scale a solve hands on lives in one ``run_stages`` call: no
+    decompose sees another's."""
+
+    @staticmethod
+    def run_here():
+        import contextlib
+        import io
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(_SCALED_RUN, {})
+        return out.getvalue().strip()
+
+    def test_identical_calls_give_identical_bits(self):
+        cfg = PursuitConfig(rng_seed=8, n_seeds=100)
+        S = np.random.default_rng(14).laplace(size=(3, 2000))
+        A = np.random.default_rng(15).standard_normal((5, 3))
+        first, _, _ = decompose(DataMatrix(A @ S), q=3, config=cfg)
+        second, _, _ = decompose(DataMatrix(A @ S), q=3, config=cfg)
+        for name in ("Q", "S_hat", "Q_stage1", "stage1_objectives",
+                     "stage2_objectives"):
+            assert (getattr(first, name).tobytes()
+                    == getattr(second, name).tobytes()), name
+
+    def test_a_call_after_another_matches_a_fresh_process(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        import adis_kit
+        # an unrelated decompose first, with its own scales
+        S = np.random.default_rng(16).laplace(size=(3, 2000))
+        decompose(DataMatrix(np.random.default_rng(17).standard_normal(
+            (3, 3)) @ S), q=3, config=PursuitConfig(rng_seed=9))
+        here = self.run_here()
+        src = str(Path(adis_kit.__file__).resolve().parent.parent)
+        fresh = subprocess.run([sys.executable, "-c", _SCALED_RUN],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": src})
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.strip() == here

@@ -107,6 +107,44 @@ class TestSecantCondition:
                 assert resid <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
+@pytest.mark.parametrize("kind", ["sr1", "bfgs", "l-sr1", "l-bfgs"])
+class TestFirstPairScale:
+    """``rescale_first`` resets the matrix to (y'y / y's)·I just before the
+    first pair, when y's > 0, and never again."""
+
+    S1, Y1 = np.array([0.3, -0.1, 0.2]), np.array([0.02, 0.001, 0.015])
+    S2, Y2 = np.array([-0.1, 0.25, 0.05]), np.array([-0.004, 0.01, 0.003])
+
+    def test_first_pair_rescales_before_updating(self, kind):
+        scale = float(self.Y1 @ self.Y1) / float(self.Y1 @ self.S1)
+        qn = make_quasi_newton(kind, 3, gamma=1.0, rescale_first=True)
+        ref = make_quasi_newton(kind, 3, gamma=scale)
+        for s, y in ((self.S1, self.Y1), (self.S2, self.Y2)):
+            assert qn.update(s, y) == ref.update(s, y)
+            assert qn.matrix().tobytes() == ref.matrix().tobytes()
+        assert qn.pair_scale == float(self.Y2 @ self.Y2) / float(
+            self.Y2 @ self.S2)
+
+    def test_nonpositive_curvature_keeps_the_start(self, kind):
+        # y's < 0 at the first pair: no rescale then, and none at the second
+        # pair either, though its y's > 0
+        qn = make_quasi_newton(kind, 3, gamma=1.5, rescale_first=True)
+        ref = make_quasi_newton(kind, 3, gamma=1.5)
+        for s, y in ((self.S1, -self.Y1), (self.S2, self.Y2)):
+            assert qn.update(s, y) == ref.update(s, y)
+            assert qn.matrix().tobytes() == ref.matrix().tobytes()
+        assert not qn.rescale_first
+
+    def test_pair_scale_skips_nonpositive_curvature(self, kind):
+        qn = make_quasi_newton(kind, 3, gamma=1.0)
+        assert qn.pair_scale is None
+        qn.update(self.S1, self.Y1)
+        first = qn.pair_scale
+        assert first == float(self.Y1 @ self.Y1) / float(self.Y1 @ self.S1)
+        qn.update(self.S2, -self.Y2)
+        assert qn.pair_scale == first
+
+
 class TestLimitedMemory:
     def test_window_is_bounded(self):
         qn = LimitedQuasiNewton(3, kind="l-sr1", gamma=1.0, memory=2)
@@ -171,7 +209,8 @@ class TestLimitedSkipFromTerms:
         monkeypatch.setattr(qn_module, "quasi_newton_update", counted)
         monkeypatch.setattr(
             solver_module, "make_quasi_newton",
-            lambda kind_, n, gamma, memory: Recorded(n, kind_, gamma, memory))
+            lambda kind_, n, gamma, memory, rescale_first: Recorded(
+                n, kind_, gamma, memory, rescale_first))
         sol = solve(electron_problem(20), config=AugLagConfig(qn_kind=kind))
         monkeypatch.undo()
         return sol, log, calls[0]

@@ -27,7 +27,7 @@ from adis_kit.nlp import (
 )
 from adis_kit.nlp.solver import (DELTA0, MERIT_ROUNDING, MU0, MU_FLOOR,
                                  RHO_ACCEPT, THETA_H, THETA_L, InnerResult,
-                                 NlpSolution, RawEval)
+                                 NlpSolution, RawEval, SolveScale)
 from adis_kit.pursuit import PursuitConfig, decompose, run_stages
 from adis_kit.whiten import DataMatrix, center, fit_ppca
 from test_contrast import mean_abs
@@ -415,11 +415,96 @@ class TestOuterSolve:
             AugLagConfig(qn_kind="lbfgs").validate()
 
 
+def _small_curvature_quadratic():
+    # curvature about 0.01, far below the start matrix max(1, |g0|)·I
+    H = np.diag([0.01, 0.02, 0.04])
+    b = np.array([0.002, -0.003, 0.001])
+    return NlpProblem(dim=3, objective=lambda x: (0.5 * x @ H @ x - b @ x,
+                                                  H @ x - b))
+
+
+class TestStartScale:
+    """A solve without equality rows starts at a given scale, or rescales its
+    matrix at the first pair; with equality rows nothing changes."""
+
+    @staticmethod
+    def first_inner_start(monkeypatch, problem, **kwargs):
+        import adis_kit.nlp.solver as solver_module
+        seen = []
+        original = solver_module.inner_solve
+
+        def recorded(model, x_start, lower, upper, eta_grad, j_max, qn,
+                     **kw):
+            seen.append((qn.matrix().copy(), qn.rescale_first,
+                         kw["delta0"]))
+            return original(model, x_start, lower, upper, eta_grad, j_max,
+                            qn, **kw)
+
+        monkeypatch.setattr(solver_module, "inner_solve", recorded)
+        sol = solve(problem, x0=np.zeros(problem.dim), **kwargs)
+        monkeypatch.undo()
+        return sol, seen[0]
+
+    def test_given_scale_sets_first_radius_and_matrix(self, monkeypatch):
+        problem = _small_curvature_quadratic()
+        sol, (B, rescale, delta0) = self.first_inner_start(
+            monkeypatch, problem, scale=SolveScale(0.3, 0.025))
+        assert delta0 == 0.3 and not rescale
+        assert B.tobytes() == (0.025 * np.eye(3)).tobytes()
+        assert sol.converged
+        first = sol.trace.records[0]
+        assert first.delta in (0.15, 0.3, 0.6)
+
+    def test_without_a_scale_the_first_pair_rescales(self, monkeypatch):
+        problem = _small_curvature_quadratic()
+        sol, (B, rescale, delta0) = self.first_inner_start(monkeypatch,
+                                                           problem)
+        assert delta0 == DELTA0 and rescale
+        assert B.tobytes() == np.eye(3).tobytes()
+        # radius only: the matrix still starts at max(1, |g0|)·I
+        _, (B, rescale, delta0) = self.first_inner_start(
+            monkeypatch, problem, scale=SolveScale(0.3))
+        assert delta0 == 0.3 and rescale
+        assert B.tobytes() == np.eye(3).tobytes()
+
+    def test_reports_the_scale_it_ended_with(self):
+        problem = _small_curvature_quadratic()
+        sol = solve(problem, x0=np.zeros(3))
+        assert sol.scale.radius == sol.trace.records[-1].delta
+        assert 0.01 <= sol.scale.curvature <= 0.04
+        # a solve that takes no iteration hands on the scale it was given
+        given = SolveScale(0.2, 0.03)
+        at_optimum = solve(problem, x0=sol.x, scale=given)
+        assert at_optimum.n_inner == 0 and at_optimum.scale is given
+        assert at_optimum.trace.records[0].delta == 0.2
+
+    @pytest.mark.parametrize("scale", [
+        SolveScale(0.0), SolveScale(-1.0, 0.1), SolveScale(np.inf),
+        SolveScale(0.5, 0.0), SolveScale(0.5, np.nan)])
+    def test_rejects_a_scale_that_is_not_positive_and_finite(self, scale):
+        with pytest.raises(ValueError):
+            solve(_small_curvature_quadratic(), x0=np.zeros(3), scale=scale)
+
+    @pytest.mark.parametrize("make", [
+        lambda: polygon_problem(6, seed=0),
+        lambda: nnls_problem(*random_nnls_instance(40, 20, seed=0)),
+    ], ids=["polygon-0", "nnls-0"])
+    def test_equality_rows_ignore_the_scale(self, make):
+        problem = make()
+        assert problem.n_eq + problem.n_ineq > 0
+        sol = solve(problem)
+        given = solve(problem, scale=SolveScale(0.01, 123.0))
+        assert sol.scale is None and given.scale is None
+        _assert_same_solution(given, sol)
+
+
 # The solve chain as it was before its loop was rewritten for fewer numpy
 # calls: solve, inner_solve, the evaluation wrappers, the quasi-Newton
 # update, the radius update and the KKT stamp, on the kernels kept in
 # test_subproblem. The rewrite must give the same bits, so these stay as the
-# reference.
+# reference. They also carry the start rule of a solve without equality
+# rows: a given scale's radius and curvature, or else the matrix rescaled
+# to (y'y / y's)·I at the first pair.
 
 
 def _reference_trust_region_update(rho, step, delta):
@@ -436,13 +521,20 @@ def _reference_trust_region_update(rho, step, delta):
 class _ReferenceQuasiNewton:
     """Dense SR1 or BFGS, updated at every iteration, accepted or not."""
 
-    def __init__(self, n, kind, gamma):
+    def __init__(self, n, kind, gamma, rescale_first):
         self.kind = kind
         self.B = gamma * np.eye(n)
+        self.rescale_first = rescale_first
+        self.pair_scale = None
 
     def update(self, s, y):
         if float(s @ s) == 0.0:
             raise ValueError("zero step")
+        if float(y @ s) > 0.0:
+            self.pair_scale = float(y @ y) / float(y @ s)
+            if self.rescale_first:
+                self.B = self.pair_scale * np.eye(len(s))
+        self.rescale_first = False
         B = self.B
         if self.kind == "sr1":
             w = y - B @ s
@@ -495,13 +587,14 @@ def _reference_merit(raw, lam, mu):
 
 
 def _reference_inner_solve(model, x_start, lower, upper, eta_grad, j_max, qn,
-                           on_iteration, start_eval):
+                           delta0, on_iteration, start_eval):
     x = project_box(np.asarray(x_start, dtype=float), lower, upper)
     value, grad, payload = start_eval
     pg = _reference_projected_gradient_norm(x, grad, lower, upper)
     if pg <= eta_grad:
-        return InnerResult(x=x, success=True, iterations=0, payload=payload)
-    delta = DELTA0
+        return InnerResult(x=x, success=True, iterations=0, payload=payload,
+                           delta=delta0)
+    delta = delta0
     for j in range(1, j_max + 1):
         B = qn.B
         lo = np.maximum(lower - x, -delta)
@@ -525,7 +618,7 @@ def _reference_inner_solve(model, x_start, lower, upper, eta_grad, j_max, qn,
         step_norm = float(np.max(np.abs(step)))
         if step_norm < 1e-15 * (1.0 + float(np.max(np.abs(x)))):
             return InnerResult(x=x, success=False, iterations=j,
-                               payload=payload)
+                               payload=payload, delta=delta)
         predicted = -(float(grad @ step) + 0.5 * float(step @ (B @ step)))
         x_trial = np.minimum(np.maximum(x + step, lower), upper)
         value_trial, grad_trial, payload_trial = model(x_trial)
@@ -547,11 +640,12 @@ def _reference_inner_solve(model, x_start, lower, upper, eta_grad, j_max, qn,
                      not applied, payload)
         if pg <= eta_grad:
             return InnerResult(x=x, success=True, iterations=j,
-                               payload=payload)
-    return InnerResult(x=x, success=False, iterations=j_max, payload=payload)
+                               payload=payload, delta=delta)
+    return InnerResult(x=x, success=False, iterations=j_max, payload=payload,
+                       delta=delta)
 
 
-def _reference_solve(problem, x0, cfg):
+def _reference_solve(problem, x0, cfg, scale=None):
     converted = problem.n_ineq > 0
     prob = add_slacks(problem) if converted else problem
     z = np.asarray(x0, dtype=float).copy()
@@ -570,7 +664,13 @@ def _reference_solve(problem, x0, cfg):
     c0, J0 = prob.eval_eq(x)
     ev = RawEval(f=f0, g=g0, c=c0, J=J0)
     gamma = max(1.0, float(np.max(np.abs(ev.g))) if ev.g.size else 1.0)
-    qn = _ReferenceQuasiNewton(prob.dim, cfg.qn_kind, gamma)
+    delta0 = DELTA0
+    if not schedule and scale is not None:
+        delta0 = scale.radius
+    own_scale = not schedule and (scale is None or scale.curvature is None)
+    if not schedule and not own_scale:
+        gamma = scale.curvature
+    qn = _ReferenceQuasiNewton(prob.dim, cfg.qn_kind, gamma, own_scale)
     trace = SolveTrace()
     status = SolveStatus.MAX_ITERATIONS
     n_inner_total = 0
@@ -593,7 +693,7 @@ def _reference_solve(problem, x0, cfg):
         while True:
             res = _reference_inner_solve(
                 _reference_model(prob, lam, mu), x, prob.lower, prob.upper,
-                eta_grad, cfg.j_max, qn, on_iter,
+                eta_grad, cfg.j_max, qn, delta0, on_iter,
                 _reference_merit(ev, lam, mu))
             n_inner_total += res.iterations
             if res.success:
@@ -636,15 +736,20 @@ def _reference_solve(problem, x0, cfg):
                                                        prob.upper),
             c_norm=ev.c_norm,
             lam_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
-            mu=mu, delta=DELTA0, rho=None, accepted=True,
+            mu=mu, delta=delta0, rho=None, accepted=True,
             qn_skipped=False, eta_con=eta_con, eta_grad=eta_grad))
     kkt_grad, kkt_con = _reference_kkt_residual(prob, x, lam)
     trace.stamp_final(status.value, kkt_grad, kkt_con)
+    end_scale = None
+    if not schedule:
+        end_scale = (scale if n_inner_total == 0 else
+                     SolveScale(res.delta, qn.pair_scale))
     n0 = problem.dim
     return NlpSolution(x=x[:n0], lam=lam, f=ev.f, status=status, trace=trace,
                        kkt_grad=kkt_grad, kkt_con=kkt_con,
                        slack=x[n0:] if converted else None,
-                       n_inner=n_inner_total, n_outer=outer_done)
+                       n_inner=n_inner_total, n_outer=outer_done,
+                       scale=end_scale)
 
 
 def _bits(value):
@@ -660,6 +765,9 @@ def _assert_same_solution(sol, ref):
     for name in ("x", "lam", "f", "status", "kkt_grad", "kkt_con", "slack",
                  "n_inner", "n_outer"):
         assert _bits(getattr(sol, name)) == _bits(getattr(ref, name)), name
+    scales = [None if sc is None else (_bits(sc.radius), _bits(sc.curvature))
+              for sc in (sol.scale, ref.scale)]
+    assert scales[0] == scales[1], "scale"
     assert len(sol.trace) == len(ref.trace)
     for got, want in zip(sol.trace.records, ref.trace.records):
         for name in got.__dataclass_fields__:
@@ -668,14 +776,15 @@ def _assert_same_solution(sol, ref):
 
 
 def _recorded_pursuit_solves(monkeypatch, run):
-    """Every (problem, x0, config) the pursuit solves while ``run()`` runs."""
+    """Every (problem, x0, config, scale) the pursuit solves while ``run()``
+    runs."""
     import adis_kit.pursuit as pursuit
     seen = []
     original = pursuit.solve
 
-    def recording(problem, x0=None, config=None):
-        seen.append((problem, x0, config))
-        return original(problem, x0=x0, config=config)
+    def recording(problem, x0=None, config=None, scale=None):
+        seen.append((problem, x0, config, scale))
+        return original(problem, x0=x0, config=config, scale=scale)
 
     monkeypatch.setattr(pursuit, "solve", recording)
     run()
@@ -683,9 +792,9 @@ def _recorded_pursuit_solves(monkeypatch, run):
 
 
 def _check_against_reference(solves):
-    for problem, x0, cfg in solves:
-        _assert_same_solution(solve(problem, x0=x0, config=cfg),
-                              _reference_solve(problem, x0, cfg))
+    for problem, x0, cfg, scale in solves:
+        _assert_same_solution(solve(problem, x0=x0, config=cfg, scale=scale),
+                              _reference_solve(problem, x0, cfg, scale))
 
 
 class TestRewrittenSolverMatchesReference:
@@ -697,8 +806,14 @@ class TestRewrittenSolverMatchesReference:
         solves = _recorded_pursuit_solves(
             monkeypatch, lambda: decompose(DataMatrix(A @ S), q=5,
                                            config=cfg))
-        moved = [p.dim for p, _, _ in solves]
+        moved = [p.dim for p, _, _, _ in solves]
         assert moved == [4, 4, 3, 3, 2, 2, 1, 1, 10]
+        # every solve after the first starts at a handed-on scale, Stage 2
+        # at the radius alone
+        scales = [sc for _, _, _, sc in solves]
+        assert scales[0] is None and None not in scales[1:]
+        assert scales[-1].curvature is None
+        assert all(sc.curvature > 0 for sc in scales[1:-1])
         _check_against_reference(solves)
 
     def test_bss_noisy_stage1_and_stage2(self, monkeypatch):
@@ -725,7 +840,7 @@ class TestRewrittenSolverMatchesReference:
         cfg = PursuitConfig(n_seeds=100, rng_seed=1)
         solves = _recorded_pursuit_solves(
             monkeypatch, lambda: run_stages(X, factory, cfg))
-        assert all(p.n_eq + p.n_ineq > 0 for p, _, _ in solves)
+        assert all(p.n_eq + p.n_ineq > 0 for p, _, _, _ in solves)
         _check_against_reference(solves)
 
     @pytest.mark.parametrize("make", [

@@ -168,6 +168,27 @@ class TestSourceStats:
         sums = stats.rv.sum(axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-10)
 
+    def test_rv_bits_match_masked_division(self):
+        # np.divide with a where mask gives the bits of dividing the columns
+        # picked by a boolean mask, and leaves a column whose denominator is
+        # 0 (here a sample where every source is 0) at 0
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((6, 3))
+        S = rng.standard_normal((3, 400))
+        centered = center(A @ S + 0.1 * rng.standard_normal((6, 400)))
+        model = fit_ppca(centered, q=3)
+        s_hat = model.x_tilde.copy()
+        s_hat[:, [7, 123]] = 0.0
+        stats = source_stats(model, centered, s_hat)
+        weighted = np.var(model.A_hat, axis=0)[:, None] * s_hat ** 2
+        denom = weighted.sum(axis=0)
+        old = np.zeros_like(weighted)
+        nz = denom > 0
+        old[:, nz] = weighted[:, nz] / denom[nz]
+        assert np.count_nonzero(~nz) == 2
+        assert stats.rv.tobytes() == old.tobytes()
+        assert not stats.rv[:, ~nz].any()
+
     def test_square_case_rejected(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((3, 100))

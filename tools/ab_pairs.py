@@ -13,8 +13,9 @@ claim rule holds: the change wins at least nine tenths of the pairs, and
 the medians differ by more than the distance between the parent's
 quartiles. It also compares the output digests from each run's detail line:
 per pair, whether the warm-up digests match and how many of the operations
-both sides ran have the same digest, and the largest change of
-``objective_rel`` over the operations both sides completed. A change meant
+both sides ran have the same digest, and, over the operations both sides
+completed, the largest change of ``objective_rel`` and its largest decrease
+(parent minus change; negative when every operation rose). A change meant
 to keep every output shows identical digests throughout; one that moves
 outputs by rounding shows how far. It uses the standard library only.
 """
@@ -89,21 +90,23 @@ def compare_digests(pairs) -> list:
     """Per pair: whether both sides' warm-up digests match; of the
     operations both sides ran, how many have the same non-empty digest (a
     failed operation has an empty one); and of those both completed, how
-    many there are and the largest ``|objective_rel|`` difference (None
+    many there are, the largest ``|objective_rel|`` difference and the
+    largest decrease of ``objective_rel`` from parent to change (both None
     when there are none)."""
     rows = []
     for p, c in pairs:
         ops = list(zip(p["digests"]["ops"], c["digests"]["ops"]))
         rels = zip(p["digests"]["objective_rel"],
                    c["digests"]["objective_rel"])
-        deltas = [abs(a - b) for (da, db), (a, b) in zip(ops, rels)
-                  if da and db]
+        drops = [a - b for (da, db), (a, b) in zip(ops, rels) if da and db]
+        deltas = [abs(d) for d in drops]
         rows.append({
             "warmup_match": p["digests"]["warmup"] == c["digests"]["warmup"],
             "common_ops": len(ops),
             "same_ops": sum(bool(a) and a == b for a, b in ops),
             "completed_ops": len(deltas),
             "max_objective_delta": max(deltas, default=None),
+            "max_objective_decrease": max(drops, default=None),
         })
     return rows
 
@@ -160,8 +163,11 @@ def main(argv=None) -> int:
           f"identical")
     deltas = [d["max_objective_delta"] for d in digests
               if d["max_objective_delta"] is not None]
+    drops = [d["max_objective_decrease"] for d in digests
+             if d["max_objective_decrease"] is not None]
     print(f"  objective_rel: largest per-operation |change| "
-          f"{max(deltas, default=0.0):.3g} over "
+          f"{max(deltas, default=0.0):.3g}, largest decrease "
+          f"{max(drops, default=0.0):.3g} over "
           f"{sum(d['completed_ops'] for d in digests)} operations both "
           f"sides completed")
     if args.out is not None:
