@@ -51,7 +51,7 @@ def electron_problem(n_p: int, seed: int = 0) -> NlpProblem:
     x0 = (pts / norms[:, None]).ravel()
 
     return NlpProblem(dim=n, objective=objective, eq_constraints=eq,
-                      n_eq=n_p, x0=x0, name=f"electron-{n_p}")
+                      n_eq=n_p, x0=x0)
 
 
 def nnls_problem(A: np.ndarray, b: np.ndarray, C: np.ndarray,
@@ -77,7 +77,7 @@ def nnls_problem(A: np.ndarray, b: np.ndarray, C: np.ndarray,
         return C @ x - d, C.copy()
 
     return NlpProblem(dim=n, objective=objective, ineq_constraints=ineq,
-                      n_ineq=C.shape[0], x0=np.zeros(n), name="nnls")
+                      n_ineq=C.shape[0], x0=np.zeros(n))
 
 
 def random_nnls_instance(m: int, n: int, seed: int):
@@ -162,7 +162,7 @@ def polygon_problem(n_v: int, seed: int | None = None) -> NlpProblem:
 
     return NlpProblem(dim=n, objective=objective, ineq_constraints=ineq,
                       n_ineq=len(pairs) + nv - 1, lower=lower, upper=upper,
-                      x0=x0, name=f"polygon-{nv}")
+                      x0=x0)
 
 
 def polygon_area(x: np.ndarray, n_v: int) -> float:

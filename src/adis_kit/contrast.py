@@ -328,8 +328,7 @@ class ProblemFactory:
                           n_eq=cs.n_eq * moved,
                           ineq_constraints=(per_direction(cs.ineq)
                                             if cs.ineq else None),
-                          n_ineq=cs.n_ineq * moved,
-                          name="pursuit-rotation")
+                          n_ineq=cs.n_ineq * moved)
 
 
 def cayley_row0(x: np.ndarray, start: np.ndarray

@@ -21,7 +21,6 @@ from .solver import (
     SolveScale,
     SolveStatus,
     inner_solve,
-    make_aug_lag_model,
     solve,
 )
 from .subproblem import cauchy_point, steihaug_cg, trust_region_update
@@ -43,7 +42,6 @@ __all__ = [
     "check_gradients",
     "inner_solve",
     "kkt_residual",
-    "make_aug_lag_model",
     "make_quasi_newton",
     "project_box",
     "projected_gradient_norm",

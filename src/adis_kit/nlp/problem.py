@@ -40,7 +40,6 @@ class NlpProblem:
     n_ineq: int = 0
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-    name: str = ""
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -171,7 +170,6 @@ def add_slacks(problem: NlpProblem) -> NlpProblem:
         n_eq=m + L,
         lower=lower,
         upper=upper,
-        name=base.name,
     )
 
 
@@ -199,10 +197,9 @@ def kkt_residual(problem: NlpProblem, x: np.ndarray,
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if x.shape != (problem.dim,):
         raise DimensionError(f"x has shape {x.shape}, expected ({problem.dim},)")
-    if lam.shape != (max(problem.n_eq, 1),) and lam.shape != (problem.n_eq,):
+    if lam.shape != (problem.n_eq,):
         raise DimensionError(
             f"lam has shape {lam.shape}, expected ({problem.n_eq},)")
-    lam = lam[:problem.n_eq]
     g = lagrangian_gradient(problem, x, lam)
     grad_res = projected_gradient_norm(x, g, problem.lower, problem.upper)
     if problem.n_eq:

@@ -139,8 +139,6 @@ class DenseQuasiNewton(_PairScale):
             raise ValueError(f"unknown quasi-Newton kind {kind!r}")
         self._B = gamma * np.eye(n)
         self.rescale_first = rescale_first
-        self.n_skipped = 0
-        self.n_applied = 0
 
     @classmethod
     def from_matrix(cls, B: np.ndarray, kind: str = "sr1") -> "DenseQuasiNewton":
@@ -155,10 +153,6 @@ class DenseQuasiNewton(_PairScale):
             self._B = scale * np.eye(self.n)
         rule = sr1_update if self.kind == "sr1" else bfgs_update
         self._B, applied = rule(self._B, s, y, s_norm)
-        if applied:
-            self.n_applied += 1
-        else:
-            self.n_skipped += 1
         return applied
 
     def matrix(self) -> np.ndarray:
@@ -180,8 +174,6 @@ class LimitedQuasiNewton(_PairScale):
         self.rescale_first = rescale_first
         self._pairs: Deque[Tuple[np.ndarray, np.ndarray]] = deque(maxlen=memory)
         self._cache: np.ndarray | None = None
-        self.n_skipped = 0
-        self.n_applied = 0
 
     def _base_scale(self) -> float:
         if self.kind == "bfgs" and self._pairs:
@@ -204,9 +196,6 @@ class LimitedQuasiNewton(_PairScale):
         if applied:
             self._pairs.append((s.copy(), y.copy()))
             self._cache = None
-            self.n_applied += 1
-        else:
-            self.n_skipped += 1
         return applied
 
     def matrix(self) -> np.ndarray:

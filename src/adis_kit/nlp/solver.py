@@ -195,19 +195,9 @@ def aug_lag_merit(raw: RawEval, lam: np.ndarray, mu: float
     return value, grad, raw
 
 
-def make_aug_lag_model(problem: NlpProblem, lam: np.ndarray, mu: float
-                       ) -> Callable[[np.ndarray], Tuple[float, np.ndarray, RawEval]]:
-    """Closure evaluating the merit function, its gradient and raw data."""
-
-    def model(x: np.ndarray):
-        return aug_lag_merit(evaluate_raw(problem, x), lam, mu)
-
-    return model
-
-
 def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray, eta_grad: float, j_max: int, qn,
-                delta0: float = DELTA0, rho_accept: float = RHO_ACCEPT,
+                delta0: float = DELTA0,
                 on_iteration: Optional[Callable] = None,
                 start_eval: Optional[Tuple[float, np.ndarray, object]] = None
                 ) -> InnerResult:
@@ -247,12 +237,12 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
         else:
             lo = np.maximum(lower - x, -delta)
             hi = np.minimum(upper - x, delta)
-        cp = cauchy_point(B, grad, lo, hi)
-        p = step = cp.p
-        n_active = np.count_nonzero(cp.active)
+        p, active = cauchy_point(B, grad, lo, hi)
+        step = p
+        n_active = np.count_nonzero(active)
         if n_active < p.size:
             if n_active:
-                free = ~cp.active
+                free = ~active
                 # a C-ordered copy, as B[np.ix_(free, free)] is: the
                 # layout picks the BLAS kernel and so the rounding
                 B_red = B.compress(free, 0).compress(free, 1)
@@ -265,9 +255,10 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
                 tol = min(0.1, math.sqrt(gr_norm))
                 # steihaug_cg widens the box to contain 0 itself
                 p_free = p[free]
-                box = ((lo - p_free, hi - p_free) if radius_box else
-                       (lo[free] - p_free, hi[free] - p_free))
-                v = steihaug_cg(B_red, g_red, delta=np.inf, tol=tol, box=box,
+                lo_free, hi_free = ((lo, hi) if radius_box else
+                                    (lo[free], hi[free]))
+                v = steihaug_cg(B_red, g_red, lo_free - p_free,
+                                hi_free - p_free, tol=tol,
                                 abs_tol=0.5 * eta_grad)
                 if n_active:
                     step = p.copy()
@@ -294,7 +285,7 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
             rho = 1.0       # the actual decrease would be rounding noise
         else:
             rho = -np.inf
-        accepted = rho > rho_accept
+        accepted = rho > RHO_ACCEPT
 
         delta = trust_region_update(rho if math.isfinite(rho) else -1.0,
                                     step_norm, delta)
@@ -388,6 +379,10 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     n_inner_total = 0
     outer_done = 0
 
+    def model(xi):
+        # lam and mu change only between inner solves
+        return aug_lag_merit(evaluate_raw(prob, xi), lam, mu)
+
     for k in range(cfg.max_outer):
         outer_done = k + 1
 
@@ -402,7 +397,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
 
         failed = False
         while True:
-            res = inner_solve(make_aug_lag_model(prob, lam, mu), x,
+            res = inner_solve(model, x,
                               prob.lower, prob.upper, eta_grad, cfg.j_max, qn,
                               delta0=delta0, on_iteration=on_iter,
                               start_eval=aug_lag_merit(ev, lam, mu))

@@ -8,7 +8,15 @@ where the box is the intersection of the shifted variable bounds with the
 inf-norm trust region (itself a box). The Cauchy point is the first local
 minimizer of the model along the projected steepest-descent path; the step is
 then refined by conjugate gradients on the free subspace, truncated at the
-box boundary or at negative curvature.
+box boundary or at negative curvature (Steihaug 1983, SIAM J. Numer. Anal.
+20(3)).
+
+Both kernels take the box as their only region; the trust radius is already
+in it, so neither takes a radius:
+- ``cauchy_point(B, g, lo, hi)`` requires ``lo <= 0 <= hi`` and returns
+  ``(p, active)``, the Cauchy point and the mask of its components at a face;
+- ``steihaug_cg(B, g, lo, hi)`` widens the box to contain 0 itself and takes
+  at most ``2n + 5`` iterations.
 
 The problems are small (one to a few hundred variables), so the cost of these
 kernels is the number of numpy calls, not the arithmetic: each loop does its
@@ -20,8 +28,7 @@ same order. Products use ``ndarray.dot``, which makes the same BLAS call as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -47,16 +54,11 @@ def trust_region_update(rho: float, step_norm: float, delta: float) -> float:
     return 0.5 * delta
 
 
-@dataclass
-class CauchyResult:
-    p: np.ndarray            # Cauchy point in step coordinates
-    active: np.ndarray       # boolean mask of components at a box face
-    model_decrease: float    # m(0) - m(p) >= 0
-
-
 def cauchy_point(B: np.ndarray, g: np.ndarray, lo: Union[np.ndarray, float],
-                 hi: Union[np.ndarray, float]) -> CauchyResult:
-    """First local minimizer of the quadratic model along P(-t g).
+                 hi: Union[np.ndarray, float]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """First local minimizer of the quadratic model along P(-t g), and the
+    boolean mask of its components at a box face.
 
     Walks the piecewise-linear projected gradient path segment by segment,
     freezing components as they reach their bounds. ``lo`` and ``hi`` are
@@ -78,7 +80,6 @@ def cauchy_point(B: np.ndarray, g: np.ndarray, lo: Union[np.ndarray, float],
     Bp = None                 # B @ p, maintained from the first breakpoint on
     Bd = B.dot(d)             # B @ d, downdated when components freeze
     t = 0.0
-    decrease = 0.0
 
     while np.count_nonzero(d):
         t_next = t_hit.min()
@@ -92,14 +93,12 @@ def cauchy_point(B: np.ndarray, g: np.ndarray, lo: Union[np.ndarray, float],
             t_star = -f1 / f2
             if t_star < seg:
                 p = p + t_star * d
-                decrease += -(f1 * t_star + 0.5 * f2 * t_star * t_star)
                 break
         if not math.isfinite(t_next):
             # unbounded segment with nonpositive curvature cannot occur in a
             # bounded box; guard anyway
             break
         p = p + seg * d
-        decrease += -(f1 * seg + 0.5 * f2 * seg * seg)
         Bp = seg * Bd if Bp is None else Bp + seg * Bd
         t = t_next
         for i in np.flatnonzero(t_hit <= t_next + ACTIVE_TOL * (1 + t_next)):
@@ -116,7 +115,7 @@ def cauchy_point(B: np.ndarray, g: np.ndarray, lo: Union[np.ndarray, float],
     pinned = lo == hi
     if pinned is not False:
         active |= pinned
-    return CauchyResult(p=p, active=active, model_decrease=float(decrease))
+    return p, active
 
 
 def _max_step_in_box(v: np.ndarray, d: np.ndarray, lo: list,
@@ -144,38 +143,17 @@ def _max_step_in_box(v: np.ndarray, d: np.ndarray, lo: list,
     return max(alpha, 0.0)
 
 
-def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
-                box: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                max_iter: Optional[int] = None,
+def steihaug_cg(B: np.ndarray, g: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray, tol: float = 0.1,
                 abs_tol: float = 0.0) -> np.ndarray:
-    """Truncated CG for ``min 0.5 v'Bv + g'v`` inside a box trust region.
+    """Truncated CG for ``min 0.5 v'Bv + g'v`` inside the box ``[lo, hi]``.
 
-    The feasible set is the inf-norm ball of radius ``delta`` intersected with
-    ``box`` when given, widened to contain v = 0. Terminates on a residual
-    below ``tol * ||g||`` (tightened to ``abs_tol`` when that is smaller and
-    positive), on negative curvature (step extended to the boundary) or on
-    crossing the boundary.
+    The box is widened to contain v = 0. Terminates on a residual below
+    ``tol * ||g||`` (tightened to ``abs_tol`` when that is smaller and
+    positive), on negative curvature (step extended to the boundary), on
+    crossing the boundary or after ``2n + 5`` iterations.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    g = np.asarray(g, dtype=float)
     n = g.size
-    B = np.asarray(B, dtype=float)
-
-    if box is None:
-        # -delta < 0 < delta: the ball already contains v = 0
-        lo = np.full(n, -delta)
-        hi = np.full(n, delta)
-    else:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        if delta < math.inf:
-            # an infinite radius clips nothing
-            lo = np.maximum(-delta, lo)
-            hi = np.minimum(delta, hi)
-        lo = np.minimum(lo, 0.0)
-        hi = np.maximum(hi, 0.0)
-
     # ||r|| is taken as sqrt(r'r), which is what np.linalg.norm computes, so
     # the dot product CG needs anyway gives the norm too
     rr = float(g.dot(g))
@@ -185,9 +163,8 @@ def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
     threshold = tol * gnorm
     if abs_tol > 0.0:
         threshold = min(threshold, abs_tol)
-    if max_iter is None:
-        max_iter = 2 * n + 5
-    lo, hi = lo.tolist(), hi.tolist()
+    lo = np.minimum(lo, 0.0).tolist()
+    hi = np.maximum(hi, 0.0).tolist()
 
     # v and the residual r = Bv + g are the rows of vr, the direction d and
     # B @ d the rows of dbd: one multiply and one add update both of the
@@ -198,7 +175,7 @@ def steihaug_cg(B: np.ndarray, g: np.ndarray, delta: float, tol: float = 0.1,
     dbd = np.empty((2, n))
     d, Bd = dbd
     np.negative(g, out=d)
-    for _ in range(max_iter):
+    for _ in range(2 * n + 5):
         np.dot(B, d, out=Bd)
         kappa = float(d.dot(Bd))
         alpha_max = _max_step_in_box(v, d, lo, hi)

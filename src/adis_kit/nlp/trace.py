@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 
@@ -31,9 +29,6 @@ class TraceRecord:
     status: str = "running"
     kkt_grad: Optional[float] = None   # stamped on the final record
     kkt_con: Optional[float] = None
-
-
-_FIELDS = [f.name for f in fields(TraceRecord)]
 
 
 @dataclass
@@ -86,14 +81,6 @@ class SolveTrace:
                     d[k] = float(v)
             records.append(TraceRecord(**d))
         return cls(records=records)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_FIELDS)
-        writer.writeheader()
-        for r in self.records:
-            writer.writerow(asdict(r))
-        return buf.getvalue()
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

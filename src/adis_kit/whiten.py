@@ -98,9 +98,6 @@ class SourceStats:
     sigma2: np.ndarray            # n
     rv: np.ndarray                # q x n, columns sum to 1 where defined
 
-    def cov_at(self, i: int) -> np.ndarray:
-        return self.cov_base * self.sigma2[i]
-
 
 def center(values: np.ndarray, channel_center: bool = True) -> Centered:
     """Remove the per-sample channel mean, then the sample mean.

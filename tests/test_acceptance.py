@@ -270,19 +270,18 @@ def test_criterion_6_property_suites():
         B = (M + M.T) / 2
         g = r2.standard_normal(n)
         delta = float(r2.uniform(0.1, 3.0))
-        v = steihaug_cg(B, g, delta=delta, tol=1e-10)
+        lo, hi = np.full(n, -delta), np.full(n, delta)
+        v = steihaug_cg(B, g, lo, hi, tol=1e-10)
         steihaug_ok &= bool(np.max(np.abs(v)) <= delta + 1e-12)
-        cp = cauchy_point(B, g, np.full(n, -delta), np.full(n, delta))
-        step = cp.p.copy()
-        free = ~cp.active
+        p, active = cauchy_point(B, g, lo, hi)
+        step = p.copy()
+        free = ~active
         if free.any():
-            vv = steihaug_cg(B[np.ix_(free, free)], (g + B @ cp.p)[free],
-                             delta=np.inf, tol=1e-8,
-                             box=(np.minimum(-delta - cp.p[free], 0),
-                                  np.maximum(delta - cp.p[free], 0)))
+            vv = steihaug_cg(B[np.ix_(free, free)], (g + B @ p)[free],
+                             -delta - p[free], delta - p[free], tol=1e-8)
             step[free] += vv
-        m = lambda p: g @ p + 0.5 * p @ B @ p
-        steihaug_ok &= bool(m(step) <= m(cp.p) + 1e-10)
+        m = lambda s: g @ s + 0.5 * s @ B @ s
+        steihaug_ok &= bool(m(step) <= m(p) + 1e-10)
     ok &= report("Steihaug boundary + model decrease on 100 triples",
                  steihaug_ok)
 

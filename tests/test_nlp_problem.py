@@ -8,6 +8,7 @@ from adis_kit.nlp import (
     check_gradients,
     kkt_residual,
     project_box,
+    solve,
 )
 from adis_kit.bench import nnls_problem, random_nnls_instance
 
@@ -105,6 +106,36 @@ class TestKktResidual:
         )
         with pytest.raises(ValueError):
             kkt_residual(p, np.zeros(2), np.zeros(2))
+
+    def test_rejects_multiplier_without_equality_row(self):
+        # a length-1 lam on a problem without equality rows is an error,
+        # not a multiplier to drop
+        with pytest.raises(DimensionError):
+            kkt_residual(quadratic_problem(), np.zeros(4), np.zeros(1))
+
+    @pytest.mark.parametrize("n_lam", [0, 2])
+    def test_rejects_wrong_multiplier_count(self, n_lam):
+        p = NlpProblem(dim=2, objective=lambda x: (float(x @ x), 2 * x),
+                       eq_constraints=lambda x: (np.array([x[0] - 0.3]),
+                                                 np.array([[1.0, 0.0]])),
+                       n_eq=1)
+        with pytest.raises(DimensionError):
+            kkt_residual(p, np.zeros(2), np.zeros(n_lam))
+
+    def test_accepts_the_shapes_solve_passes(self):
+        # solve stamps its result with lam of shape (n_eq,), for n_eq = 0
+        # and n_eq > 0 alike
+        free = solve(quadratic_problem(), x0=np.ones(4))
+        assert free.lam.shape == (0,)
+        assert kkt_residual(quadratic_problem(), free.x, free.lam) == \
+            (free.kkt_grad, free.kkt_con)
+        p = NlpProblem(dim=2, objective=lambda x: (float(x @ x), 2 * x),
+                       eq_constraints=lambda x: (np.array([x[0] - 0.3]),
+                                                 np.array([[1.0, 0.0]])),
+                       n_eq=1)
+        sol = solve(p, x0=np.ones(2))
+        assert sol.lam.shape == (1,)
+        assert kkt_residual(p, sol.x, sol.lam) == (sol.kkt_grad, sol.kkt_con)
 
 
 class TestCallbackValidation:

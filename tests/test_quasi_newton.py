@@ -58,7 +58,6 @@ class TestSR1:
         applied = qn.update(s, 2.0 * s)   # y = B s exactly
         assert not applied
         np.testing.assert_array_equal(qn.matrix(), B_before)
-        assert qn.n_skipped == 1
 
     def test_functional_entry_point(self):
         B = np.eye(2)
@@ -177,9 +176,6 @@ class _FullUpdateLimitedQuasiNewton(LimitedQuasiNewton):
         if applied:
             self._pairs.append((s.copy(), y.copy()))
             self._cache = None
-            self.n_applied += 1
-        else:
-            self.n_skipped += 1
         return applied
 
 

@@ -1,5 +1,3 @@
-import csv
-import io
 import itertools
 import math
 from dataclasses import replace
@@ -110,7 +108,7 @@ class TestInnerSolve:
         assert first_step_norm == pytest.approx(0.7, abs=1e-10)
 
     def test_iterate_changes_only_on_accepted_steps(self):
-        # rho <= rho_accept must leave the stored iterate untouched
+        # rho <= RHO_ACCEPT must leave the stored iterate untouched
         rng = np.random.default_rng(9)
 
         def rosenbrock(x):
@@ -128,7 +126,7 @@ class TestInnerSolve:
         inner_solve(rosenbrock, np.array([-1.2, 1.0]),
                     np.full(2, -np.inf), np.full(2, np.inf),
                     eta_grad=1e-6, j_max=150, qn=qn, delta0=1.0,
-                    rho_accept=0.1, on_iteration=watch)
+                    on_iteration=watch)
         prev = np.array([-1.2, 1.0])
         for x, rho, accepted in seen:
             if accepted:
@@ -248,15 +246,12 @@ class TestOuterSolve:
         assert final.kkt_con == sol.kkt_con
         rt = SolveTrace.from_jsonl(sol.trace.to_jsonl())
         assert rt.records == sol.trace.records
-        assert sol.trace.to_csv().count("\n") == len(sol.trace) + 1
 
-        # non-finite values round-trip through JSONL and read the same in CSV
+        # non-finite values round-trip through JSONL
         odd = SolveTrace()
         odd.append(replace(final, f=math.inf, lagrangian=math.nan))
         rt = SolveTrace.from_jsonl(odd.to_jsonl()).records[0]
         assert rt.f == math.inf and math.isnan(rt.lagrangian)
-        row = next(csv.DictReader(io.StringIO(odd.to_csv())))
-        assert row["f"] == "inf" and row["lagrangian"] == "nan"
 
     def test_start_at_optimum_is_certified(self):
         # no iteration runs, yet the trace still ends in a stamped record
@@ -857,3 +852,35 @@ class TestRewrittenSolverMatchesReference:
         cfg = AugLagConfig(qn_kind=qn_kind)
         _assert_same_solution(solve(problem, config=cfg),
                               _reference_solve(problem, problem.x0, cfg))
+
+
+class TestKernelLookups:
+    """``solve`` reaches ``inner_solve``, ``cauchy_point`` and
+    ``steihaug_cg`` through the module globals of ``adis_kit.nlp.solver``,
+    the attributes a wrapper replaces to observe them."""
+
+    def test_wrapped_kernels_see_every_call(self, monkeypatch):
+        import adis_kit.nlp.solver as solver_module
+        counts = {"inner_solve": 0, "cauchy_point": 0, "steihaug_cg": 0}
+        for name in counts:
+            original = getattr(solver_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver_module, name, counted)
+
+        # one Stage 1 solve of the pursuit: a rotation of the first row of
+        # a whitened 3-source Laplace mixture
+        rng = np.random.default_rng(4)
+        X = fit_ppca(center(rng.standard_normal((3, 3)) @
+                            rng.laplace(size=(3, 2000)),
+                            channel_center=False), 3).x_tilde
+        problem = ProblemFactory(LogCoshNegentropy()).rotation_problem(
+            X, np.eye(3), moved=1)
+        sol = solve(problem, x0=np.zeros(problem.dim))
+        assert sol.converged and sol.n_inner > 0
+        assert counts["inner_solve"] == sol.n_outer
+        assert counts["cauchy_point"] == sol.n_inner
+        assert counts["steihaug_cg"] >= 1

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from adis_kit.nlp import cauchy_point, steihaug_cg, trust_region_update
+from adis_kit.nlp import subproblem
 from adis_kit.nlp.subproblem import ACTIVE_TOL, _max_step_in_box
+
+
+def _ball(n, delta):
+    """The inf-norm trust region of radius ``delta`` as a box."""
+    return np.full(n, -delta), np.full(n, delta)
+
+
+def _model(B, g, p):
+    """g'p + 0.5 p'Bp, the model value of the step p."""
+    return float(g @ p + 0.5 * p @ B @ p)
 
 
 class TestTrustRegionUpdate:
@@ -31,7 +42,7 @@ class TestTrustRegionUpdate:
 class TestSteihaug:
     def test_identity_returns_negative_gradient(self):
         g = np.array([1.0, -2.0, 0.5])
-        v = steihaug_cg(np.eye(3), g, delta=100.0, tol=1e-12)
+        v = steihaug_cg(np.eye(3), g, *_ball(3, 100.0), tol=1e-12)
         np.testing.assert_allclose(v, -g, atol=1e-12)
 
     def test_matches_direct_solve(self):
@@ -39,25 +50,50 @@ class TestSteihaug:
         M = rng.standard_normal((4, 4))
         B = M @ M.T + 4 * np.eye(4)
         g = rng.standard_normal(4)
-        v = steihaug_cg(B, g, delta=1e6, tol=1e-14, max_iter=100)
+        v = steihaug_cg(B, g, *_ball(4, 1e6), tol=1e-14)
         np.testing.assert_allclose(v, np.linalg.solve(B, -g), atol=1e-10)
 
     def test_negative_curvature_reaches_boundary(self):
         B = np.diag([-1.0, 1.0])
         g = np.array([1.0, 0.0])
-        v = steihaug_cg(B, g, delta=2.0)
+        v = steihaug_cg(B, g, *_ball(2, 2.0))
         assert np.max(np.abs(v)) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_gradient_returns_zero(self):
-        v = steihaug_cg(np.eye(3), np.zeros(3), delta=1.0)
+        v = steihaug_cg(np.eye(3), np.zeros(3), *_ball(3, 1.0))
         np.testing.assert_array_equal(v, np.zeros(3))
 
     def test_respects_variable_box(self):
         B = np.eye(2)
         g = np.array([-5.0, 0.0])   # unconstrained step would be +5 in x0
-        v = steihaug_cg(B, g, delta=10.0, box=(np.array([-1.0, -1.0]),
-                                               np.array([0.5, 1.0])))
+        v = steihaug_cg(B, g, np.array([-1.0, -1.0]), np.array([0.5, 1.0]))
         assert v[0] <= 0.5 + 1e-12
+
+    def test_widens_box_to_contain_zero(self):
+        # a box that excludes v = 0 is widened to contain it: the minimizer
+        # 0.25 lies below the given lower bound 0.5 and is returned
+        v = steihaug_cg(np.eye(2), np.array([-0.25, 0.0]),
+                        np.array([0.5, 0.5]), np.array([2.0, 2.0]))
+        np.testing.assert_array_equal(v, [0.25, 0.0])
+
+    def test_stops_after_2n_plus_5_iterations(self, monkeypatch):
+        # with a residual tolerance of 0 and a box it never reaches, only the
+        # iteration limit stops CG on an ill-conditioned B; each iteration
+        # takes one step length to the box
+        n = 12
+        B = np.diag(np.logspace(0, 12, n))
+        g = np.ones(n)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _max_step_in_box(*args)
+
+        monkeypatch.setattr(subproblem, "_max_step_in_box", counted)
+        v = steihaug_cg(B, g, *_ball(n, 1e9), tol=0.0)
+        assert len(calls) == 2 * n + 5
+        ref = _reference_steihaug_cg(B, g, delta=1e9, tol=0.0)
+        assert _same_bits(v, ref)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_boundary_and_cauchy_dominance(self, seed):
@@ -70,7 +106,7 @@ class TestSteihaug:
         B = (M + M.T) / 2          # indefinite on purpose
         g = rng.standard_normal(n)
         delta = float(rng.uniform(0.1, 3.0))
-        v = steihaug_cg(B, g, delta=delta, tol=1e-10)
+        v = steihaug_cg(B, g, *_ball(n, delta), tol=1e-10)
         assert np.max(np.abs(v)) <= delta + 1e-12
 
         model = lambda p: g @ p + 0.5 * p @ B @ p
@@ -95,42 +131,40 @@ class TestSteihaug:
         g = rng.standard_normal(n)
         delta = float(rng.uniform(0.1, 3.0))
         lo, hi = np.full(n, -delta), np.full(n, delta)
-        cp = cauchy_point(B, g, lo, hi)
-        step = cp.p.copy()
-        free = ~cp.active
+        p, active = cauchy_point(B, g, lo, hi)
+        step = p.copy()
+        free = ~active
         if free.any():
-            g_red = (g + B @ cp.p)[free]
+            g_red = (g + B @ p)[free]
             B_red = B[np.ix_(free, free)]
-            v = steihaug_cg(B_red, g_red, delta=np.inf, tol=1e-8,
-                            box=(np.minimum(lo[free] - cp.p[free], 0),
-                                 np.maximum(hi[free] - cp.p[free], 0)))
+            v = steihaug_cg(B_red, g_red, lo[free] - p[free],
+                            hi[free] - p[free], tol=1e-8)
             step[free] += v
-        model = lambda p: g @ p + 0.5 * p @ B @ p
         assert np.max(np.abs(step)) <= delta + 1e-12
-        assert model(step) <= model(cp.p) + 1e-10
+        assert _model(B, g, step) <= _model(B, g, p) + 1e-10
 
 
 class TestCauchyPoint:
     def test_unconstrained_quadratic_exact_minimizer_direction(self):
         # B = I: the path minimizer along -g is -g itself when inside the box
         g = np.array([0.3, -0.4])
-        cp = cauchy_point(np.eye(2), g, np.full(2, -10.0), np.full(2, 10.0))
-        np.testing.assert_allclose(cp.p, -g, atol=1e-14)
-        assert not cp.active.any()
+        p, active = cauchy_point(np.eye(2), g, *_ball(2, 10.0))
+        np.testing.assert_allclose(p, -g, atol=1e-14)
+        assert not active.any()
 
     def test_freezes_at_bounds(self):
         g = np.array([-1.0, 0.0])
-        cp = cauchy_point(np.eye(2), g, np.full(2, -0.25), np.full(2, 0.25))
-        assert cp.p[0] == pytest.approx(0.25)
-        assert cp.active[0]
+        p, active = cauchy_point(np.eye(2), g, *_ball(2, 0.25))
+        assert p[0] == pytest.approx(0.25)
+        assert active[0]
 
     def test_pinned_variable_never_moves(self):
         g = np.array([-1.0, -1.0])
         lo = np.array([0.0, -1.0])
         hi = np.array([0.0, 1.0])   # first variable pinned
-        cp = cauchy_point(np.eye(2), g, lo, hi)
-        assert cp.p[0] == 0.0
-        assert cp.active[0]
+        p, active = cauchy_point(np.eye(2), g, lo, hi)
+        assert p[0] == 0.0
+        assert active[0]
 
     def test_model_decrease_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -140,10 +174,8 @@ class TestCauchyPoint:
             B = (M + M.T) / 2
             g = rng.standard_normal(n)
             delta = float(rng.uniform(0.1, 2.0))
-            cp = cauchy_point(B, g, np.full(n, -delta), np.full(n, delta))
-            model = g @ cp.p + 0.5 * cp.p @ B @ cp.p
-            assert model <= 1e-12
-            assert cp.model_decrease == pytest.approx(-model, abs=1e-10)
+            p, _ = cauchy_point(B, g, *_ball(n, delta))
+            assert -_model(B, g, p) >= -1e-12
 
 
 # The kernels as they were before they were rewritten for fewer numpy calls:
@@ -301,16 +333,16 @@ class TestRewrittenKernelsMatchReference:
     @pytest.mark.parametrize("seed", range(240))
     def test_bit_identical(self, seed):
         B, g, lower, upper, lo, hi, delta = _random_subproblem(seed)
-        cp = cauchy_point(B, g, lo, hi)
-        p, active, decrease = _reference_cauchy_point(B, g, lo, hi)
-        assert np.array_equal(cp.p, p) and _same_bits(cp.p, p)
-        assert np.array_equal(cp.active, active)
-        assert cp.model_decrease == decrease
-        assert float.hex(cp.model_decrease) == float.hex(decrease)
+        cp_p, cp_active = cauchy_point(B, g, lo, hi)
+        p, active, _ = _reference_cauchy_point(B, g, lo, hi)
+        assert np.array_equal(cp_p, p) and _same_bits(cp_p, p)
+        assert np.array_equal(cp_active, active)
 
-        # the plain trust-region form, with and without a variable box
-        for box in (None, (lower, upper)):
-            v = steihaug_cg(B, g, delta=delta, tol=1e-3, box=box)
+        # the plain trust-region form, with and without a variable box: the
+        # kernel takes the radius as part of its box
+        for box, region in ((None, _ball(g.size, delta)),
+                            ((lower, upper), (lo, hi))):
+            v = steihaug_cg(B, g, *region, tol=1e-3)
             ref = _reference_steihaug_cg(B, g, delta=delta, tol=1e-3, box=box)
             assert np.array_equal(v, ref) and _same_bits(v, ref)
 
@@ -323,9 +355,9 @@ class TestRewrittenKernelsMatchReference:
             box = (np.minimum(lo[free] - p[free], 0.0),
                    np.maximum(hi[free] - p[free], 0.0))
             tol = min(0.1, np.sqrt(np.linalg.norm(g_red)))
-            kw = dict(delta=np.inf, tol=tol, box=box, abs_tol=5e-7)
-            v = steihaug_cg(B_red, g_red, **kw)
-            ref = _reference_steihaug_cg(B_red, g_red, **kw)
+            v = steihaug_cg(B_red, g_red, *box, tol=tol, abs_tol=5e-7)
+            ref = _reference_steihaug_cg(B_red, g_red, delta=np.inf, tol=tol,
+                                         box=box, abs_tol=5e-7)
             assert np.array_equal(v, ref) and _same_bits(v, ref)
 
     @pytest.mark.parametrize("seed", range(60))
@@ -334,10 +366,9 @@ class TestRewrittenKernelsMatchReference:
         # without finite bounds: -delta .. delta as floats
         B, g, _, _, _, _, delta = _random_subproblem(seed)
         lo, hi = np.full(g.size, -delta), np.full(g.size, delta)
-        cp = cauchy_point(B, g, -delta, delta)
-        p, active, decrease = _reference_cauchy_point(B, g, lo, hi)
-        assert _same_bits(cp.p, p) and np.array_equal(cp.active, active)
-        assert float.hex(cp.model_decrease) == float.hex(decrease)
+        cp_p, cp_active = cauchy_point(B, g, -delta, delta)
+        p, active, _ = _reference_cauchy_point(B, g, lo, hi)
+        assert _same_bits(cp_p, p) and np.array_equal(cp_active, active)
 
 
 def _vectorized_max_step_in_box(v, d, lo, hi):

@@ -141,7 +141,7 @@ class TestSourceStats:
         s_hat = model.x_tilde
         stats = source_stats(model, centered, s_hat)
         assert np.max(stats.sigma2) <= 1e-16
-        assert np.max(np.abs(stats.cov_at(0))) <= 1e-12
+        assert np.max(np.abs(stats.cov_base * stats.sigma2[0])) <= 1e-12
 
     def test_single_component_rv_is_one(self):
         rng = np.random.default_rng(10)
