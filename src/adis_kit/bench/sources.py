@@ -18,7 +18,11 @@ def _standardize(S: np.ndarray) -> np.ndarray:
 
 
 def synth5(n: int = 2000, seed: int = 0) -> np.ndarray:
-    """Five classic test sources: sine, square, sawtooth, uniform, Laplacian."""
+    """Five classic test sources: sine, square, sawtooth, uniform, Laplacian.
+
+    Needs n >= 2, the fewest samples ``contrast.negentropy`` scores."""
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got n={n}")
     rng = np.random.default_rng(seed)
     t = np.arange(n)
     rows = [
@@ -80,7 +84,9 @@ def model_dataset(p: int, q: int, n: int, sigma: float, family: str = "gaussian"
                   seed: int = 0, return_truth: bool = False):
     """Noisy mixed data with a uniform mixing matrix scaled to unit smallest
     singular value. Source families: gaussian, uniform (negative kurtosis
-    excess), gamma (positive)."""
+    excess), gamma (positive). Needs n >= 2, as ``synth5`` does."""
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got n={n}")
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.0, 1.0, (p, q))
     A = A / np.linalg.svd(A, compute_uv=False)[-1]

@@ -134,34 +134,25 @@ def _merge_cli(doc: dict, args, keys) -> dict:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        doc = load_config_file(args.config) if args.config else {}
-        _merge_cli(doc, args, {"input": "input", "q": "q", "seed": "seed",
-                               "output": "output"})
-        doc.setdefault("seed", PursuitConfig.rng_seed)
-        validate_config(doc)
-        if not doc.get("input"):
-            raise ConfigError("no input file given")
-        if not Path(doc["input"]).exists():
-            raise ConfigError(f"input file not found: {doc['input']}")
-        cfg = build_pursuit_config(doc)
-        values = load_matrix(doc["input"])
-        data = DataMatrix(values)
-        if doc.get("q") is not None and not 1 <= doc["q"] <= data.p:
-            raise ConfigError(f"latent dimension {doc['q']} out of range "
-                              f"[1, {data.p}]")
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = load_config_file(args.config) if args.config else {}
+    _merge_cli(doc, args, {"input": "input", "q": "q", "seed": "seed",
+                           "output": "output"})
+    doc.setdefault("seed", PursuitConfig.rng_seed)
+    validate_config(doc)
+    if not doc.get("input"):
+        raise ConfigError("no input file given")
+    if not Path(doc["input"]).exists():
+        raise ConfigError(f"input file not found: {doc['input']}")
+    cfg = build_pursuit_config(doc)
+    data = DataMatrix(load_matrix(doc["input"]))
+    if doc.get("q") is not None and not 1 <= doc["q"] <= data.p:
+        raise ConfigError(f"latent dimension {doc['q']} out of range "
+                          f"[1, {data.p}]")
 
     outdir = Path(doc.get("output") or "adis-out")
     t0 = time.perf_counter()
     try:
         result, model, stats = decompose(data, q=doc.get("q"), config=cfg)
-    except ValueError as exc:
-        # input the pipeline rejects, such as too few channels to estimate q
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PursuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -211,15 +202,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_latdim(args) -> int:
-    try:
-        if not Path(args.input).exists():
-            raise ConfigError(f"input file not found: {args.input}")
-        data = DataMatrix(load_matrix(args.input))
-        t0 = time.perf_counter()
-        summary = estimate_q(center(data.values).values, seed=args.seed)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if not Path(args.input).exists():
+        raise ConfigError(f"input file not found: {args.input}")
+    data = DataMatrix(load_matrix(args.input))
+    t0 = time.perf_counter()
+    summary = estimate_q(center(data.values).values, seed=args.seed)
 
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -272,8 +259,7 @@ def cmd_bench_nlp(args) -> int:
                 d = npz["d"] if "d" in npz else np.zeros(C.shape[0])
             problem = nnls_problem(A, b, C, d)
         except (OSError, KeyError, ValueError) as exc:
-            print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"cannot read {args.file}: {exc}") from exc
     else:
         from .bench import random_nnls_instance
         A, b, C, d = random_nnls_instance(args.rows, args.cols, args.seed)
@@ -286,23 +272,14 @@ def cmd_bench_nlp(args) -> int:
 
 
 def cmd_bench_sir_mc(args) -> int:
-    try:
-        if Path(args.sources).exists():
-            S = load_matrix(args.sources)
-        else:
-            S = make_sources(args.sources, n=args.n, seed=args.source_seed)
-        family = MixingFamily(args.family)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if Path(args.sources).exists():
+        S = load_matrix(args.sources)
+    else:
+        S = make_sources(args.sources, n=args.n, seed=args.source_seed)
+    family = MixingFamily(args.family)
     t0 = time.perf_counter()
-    try:
-        agg, details = monte_carlo_bss(S, family, n_b=args.nb,
-                                       config=PursuitConfig(),
-                                       master_seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    agg, _ = monte_carlo_bss(S, family, n_b=args.nb, config=PursuitConfig(),
+                             master_seed=args.seed)
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sir-runs.csv", "w") as fh:
@@ -327,13 +304,7 @@ def cmd_bench_score(args) -> int:
     here against the truth.
     """
     from .bench import sir as sir_fn
-    try:
-        truth = load_matrix(args.truth)
-        estimates = load_matrix(args.estimates)
-        rep = sir_fn(truth, estimates)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = sir_fn(load_matrix(args.truth), load_matrix(args.estimates))
     per_source = " ".join(f"{v:.4f}" for v in rep.sir_db)
     print(f"mean_sir_db={rep.mean_db:.4f} per_source=[{per_source}] "
           f"matching={rep.matching.tolist()}")
@@ -349,14 +320,10 @@ def cmd_bench_score(args) -> int:
 
 
 def cmd_bench_latdim_grid(args) -> int:
-    try:
-        cfg = GridConfig(reps=args.reps, master_seed=args.seed,
-                         ratios=tuple(float(r) for r in args.ratios.split(",")),
-                         q_fracs=tuple(float(r) for r in args.qps.split(",")),
-                         families=tuple(args.families.split(",")))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = GridConfig(reps=args.reps, master_seed=args.seed,
+                     ratios=tuple(float(r) for r in args.ratios.split(",")),
+                     q_fracs=tuple(float(r) for r in args.qps.split(",")),
+                     families=tuple(args.families.split(",")))
     outdir = Path(args.output or "adis-out")
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -484,7 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # bad input or configuration: ConfigError, JSONDecodeError and
+        # LinAlgError are ValueErrors; a command checks its input before it
+        # creates an output directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

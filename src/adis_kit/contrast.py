@@ -3,8 +3,9 @@
 A contrast maps a direction w and whitened data to a scalar "interestingness"
 and its gradient. The built-in contrast is the squared distance of the
 projected log-cosh moment from its Gaussian value, a robust non-Gaussianity
-score. ``ProblemFactory`` turns a contrast plus an optional hook and user
-constraints into minimization problems for the solver. Both pursuit stages
+score. ``ProblemFactory`` turns a contrast and user constraints into
+minimization problems for the solver; any other objective is a contrast of
+its own, so Stages 0, 1 and 2 all see one function. Both pursuit stages
 move directions by a Cayley rotation of orthonormal rows (one row in Stage
 1, in closed form, and all rows in Stage 2), so the solver's constraints are
 the user's alone.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, List, Protocol, Tuple
 
 import numpy as np
 
@@ -189,8 +190,6 @@ class LogCoshNegentropy(ContrastFn):
         return out * out
 
 
-# hook signature: (w, x_tilde) -> (value, gradient wrt w)
-HookFn = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
 # user constraint block: (w, x_tilde) -> (values, jacobian wrt w)
 UserConstraintFn = Callable[[np.ndarray, np.ndarray],
                             Tuple[np.ndarray, np.ndarray]]
@@ -241,36 +240,15 @@ def _stack_user_block(blocks, w, X):
 
 @dataclass
 class ProblemFactory:
-    """Builds solver problems from a contrast, a hook and user constraints.
+    """Builds solver problems from a contrast and user constraints.
 
-    This is how a custom contrast, hook or constraint set reaches the
-    pipeline: ``decompose(data, factory=ProblemFactory(my_contrast))``.
-    The solver minimizes, so objectives are the negated contrast (plus hook).
+    This is how a custom contrast or constraint set reaches the pipeline:
+    ``decompose(data, factory=ProblemFactory(my_contrast))``. The solver
+    minimizes, so objectives are the negated contrast.
     """
 
     contrast: ContrastFn
-    b_hook: Optional[HookFn] = None
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
-
-    def score(self, w, X):
-        """Contrast plus hook at direction ``w``: value and gradient."""
-        value, grad = self.contrast.evaluate(w, X)
-        if self.b_hook is not None:
-            bv, bg = self.b_hook(w, X)
-            value = value + float(bv)
-            grad = grad + np.asarray(bg, dtype=float)
-        return value, grad
-
-    def score_rows(self, W, X):
-        """``score`` of every row of ``W``: values and gradient rows, from
-        one ``evaluate_rows`` call plus the hook per row."""
-        values, grads = self.contrast.evaluate_rows(W, X)
-        if self.b_hook is not None:
-            hooked = [self.b_hook(w, X) for w in W]
-            values = values + np.array([float(v) for v, _ in hooked])
-            grads = grads + np.array([np.asarray(g, dtype=float)
-                                      for _, g in hooked])
-        return values, grads
 
     def rotation_problem(self, x_tilde: np.ndarray, start: np.ndarray,
                          moved: int) -> NlpProblem:
@@ -282,8 +260,9 @@ class ProblemFactory:
         ``moved`` rows of ``cayley_rotation(x, start)[0]``. Unit norm and
         orthogonality are structural, so the only constraints are the user
         blocks on each moved direction, pulled back through the map. The
-        objective sums the negated per-direction score. With ``moved == 1``
-        the map is ``cayley_row0``, the closed form of that row.
+        objective sums the negated contrast of each moved direction. With
+        ``moved == 1`` the map is ``cayley_row0``, the closed form of that
+        row.
         """
         X = np.asarray(x_tilde, dtype=float)
         start = np.asarray(start, dtype=float)
@@ -294,7 +273,7 @@ class ProblemFactory:
         if moved == 1:
             def objective(x):
                 w, pull = cayley_row0(x, start)
-                value, g = self.score(w, X)
+                value, g = self.contrast.evaluate(w, X)
                 return -value, -pull(g)
 
             def per_direction(blocks):
@@ -307,7 +286,7 @@ class ProblemFactory:
             def objective(x):
                 Q, pull = cayley_rotation(x, start)
                 G = np.zeros_like(Q)
-                values, G[:moved] = self.score_rows(Q[:moved], X)
+                values, G[:moved] = self.contrast.evaluate_rows(Q[:moved], X)
                 return -values.sum(), -pull(G)
 
             def per_direction(blocks):

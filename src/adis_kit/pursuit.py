@@ -120,8 +120,8 @@ def _closed_form_last_component(factory: ProblemFactory, basis: np.ndarray,
     """
     w = basis[0]
     best_sign = 1.0
-    best_val, _ = factory.score(w, x_tilde)
-    val_neg, _ = factory.score(-w, x_tilde)
+    best_val, _ = factory.contrast.evaluate(w, x_tilde)
+    val_neg, _ = factory.contrast.evaluate(-w, x_tilde)
     if val_neg > best_val:
         best_sign, best_val = -1.0, val_neg
     w = best_sign * w
@@ -233,7 +233,7 @@ def refine_joint(Q_init: np.ndarray, values_init: np.ndarray,
         return Q_init, sol.trace, True, values_init
 
     Q_new, _ = cayley_rotation(sol.x, Q_init)
-    values = np.array([factory.score(w, X)[0] for w in Q_new])
+    values = np.array([factory.contrast.evaluate(w, X)[0] for w in Q_new])
     tol = config.solver.eta_con_star
     stage1_feasible = all(factory.constraints.violation(w, X) <= tol
                           for w in Q_init)
@@ -322,7 +322,7 @@ def decompose(data: DataMatrix, q: Optional[int] = None,
 
     Source statistics need p > q (the residual has p - q degrees of freedom);
     for square problems they are returned as None. Deterministic for a fixed
-    ``config.rng_seed``. ``factory`` carries the contrast, hook and user
+    ``config.rng_seed``. ``factory`` carries the contrast and the user
     constraints; the default is the log-cosh negentropy alone.
     """
     cfg = config or PursuitConfig()

@@ -2,9 +2,12 @@
 
 The generative model is x = mu + A s + eta with p observed channels, q latent
 sources and isotropic noise. Fitting is by eigendecomposition of the sample
-covariance: the trailing eigenvalues estimate the noise floor, the leading
-subspace gives the mixing estimate up to an orthogonal rotation, and the
-whitened coordinates have identity sample covariance.
+covariance: the trailing eigenvalues estimate the noise floor sigma2, and
+the leading subspace gives the mixing estimate up to an orthogonal rotation.
+The whitened coordinates are the projections on the q leading eigenvectors,
+each divided by sqrt(lambda_i - sigma2), so only their signal part is white:
+with sigma2 > 0 their sample covariance is I + N, with N = sigma2 diag(1 /
+(lambda_i - sigma2)), not the identity.
 
 Centering is one step: ``center`` returns the centered block, and
 ``fit_ppca`` and ``source_stats`` take that block as it is.

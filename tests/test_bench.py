@@ -13,6 +13,7 @@ from adis_kit.bench import (
     grid_csv,
     latdim_validation,
     make_sources,
+    model_dataset,
     monte_carlo_bss,
     nnls_problem,
     polygon_area,
@@ -105,6 +106,18 @@ class TestSources:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             make_sources("nband99", n=100, seed=0)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_generators_reject_fewer_than_two_samples(self, n):
+        # two samples are the fewest the contrast scores
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            synth5(n=n)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            model_dataset(p=4, q=2, n=n, sigma=0.5)
+
+    def test_generators_accept_two_samples(self):
+        assert synth5(n=2).shape == (5, 2)
+        assert model_dataset(p=4, q=2, n=2, sigma=0.5).shape == (4, 2)
 
     def test_determinism(self):
         np.testing.assert_array_equal(synth5(500, 7), synth5(500, 7))

@@ -356,6 +356,8 @@ BAD_BENCH_INPUTS = {
         ["nlp", "nnls", "--file", "inst.npz"],
         lambda path: np.savez(path, A=np.array([{}], dtype=object),
                               b=np.zeros(1))),
+    "electron-one-charge": (["nlp", "electron", "--np", "1"], None),
+    "polygon-two-vertices": (["nlp", "polygon", "--nv", "2"], None),
 }
 
 
@@ -369,6 +371,25 @@ def test_bench_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "adis-out").exists()
+
+
+# case -> arguments after "gen", before "--out"; every case must exit 2
+BAD_GEN_INPUTS = {
+    "model-family-unknown": ["model", "--p", "4", "--q", "2",
+                             "--family", "nope"],
+    "model-n-zero": ["model", "--p", "4", "--q", "2", "--n", "0"],
+    "synth5-n-zero": ["synth5", "--n", "0"],
+    "synth5-n-one": ["synth5", "--n", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GEN_INPUTS))
+def test_gen_bad_input_exits_2(case, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["gen", *BAD_GEN_INPUTS[case], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestGen:

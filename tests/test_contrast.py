@@ -39,6 +39,44 @@ class Cubic(ContrastFn):
         return float(np.mean(z ** 3)), 3.0 * (x_tilde @ (z * z)) / n
 
 
+class CubicPlusQuadratic(Cubic):
+    """``Cubic`` plus ``0.1 (w . a)^2``; overrides ``evaluate`` alone, so
+    ``evaluate_rows`` and ``scores`` are the defaults that loop over it."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def evaluate(self, w, x_tilde):
+        value, grad = super().evaluate(w, x_tilde)
+        t = w @ self.a
+        return value + 0.1 * t * t, grad + 0.2 * t * self.a
+
+
+class LogCoshPlusQuadratic(ContrastFn):
+    """Log-cosh negentropy plus ``c (w . a)^2`` in every stage: the README's
+    pattern for a supplementary objective term. It holds the log-cosh
+    contrast instead of subclassing it, so each of the three methods adds
+    the term once to that contrast's own method."""
+
+    def __init__(self, a, c=0.1):
+        self.base, self.a, self.c = LogCoshNegentropy(), np.asarray(a), c
+
+    def evaluate(self, w, x_tilde):
+        value, grad = self.base.evaluate(w, x_tilde)
+        t = float(w @ self.a)
+        return value + self.c * t * t, grad + 2.0 * self.c * t * self.a
+
+    def evaluate_rows(self, W, x_tilde):
+        values, grads = self.base.evaluate_rows(W, x_tilde)
+        t = W @ self.a
+        return (values + self.c * t * t,
+                grads + 2.0 * self.c * np.multiply.outer(t, self.a))
+
+    def scores(self, D, x_tilde):
+        t = D @ self.a
+        return self.base.scores(D, x_tilde) + self.c * t * t
+
+
 class TestGLogcosh:
     def test_zero(self):
         v, d = g_logcosh(0.0)
@@ -301,16 +339,31 @@ class TestEvaluateRows:
             assert v == v1
             np.testing.assert_array_equal(g, g1)
 
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_added_term_rows_match_evaluate(self, n):
+        # the term is added once below and above the block budget, where
+        # the log-cosh rows go through its own evaluate, not the sum's
+        W, X = self.rows_and_data(n, seed=3)
+        c = LogCoshPlusQuadratic(np.random.default_rng(4).standard_normal(5))
+        values, grads = c.evaluate_rows(W, X)
+        for w, v, g in zip(W, values, grads):
+            v1, g1 = c.evaluate(w, X)
+            assert v == pytest.approx(v1, rel=1e-13, abs=0)
+            np.testing.assert_allclose(g, g1, rtol=1e-13, atol=0)
+        D = W / np.linalg.norm(W, axis=1)[:, None]
+        np.testing.assert_allclose(
+            c.scores(D, X), [c.evaluate(d, X)[0] for d in D],
+            rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("moved", [2, 3])
-    def test_default_rows_and_hook_pass_gradient_audit(self, moved):
-        # a Stage 2 problem through the default evaluate_rows plus a hook
-        # added per row; moved = 2 rotates two of three rows
+    def test_default_rows_and_added_term_pass_gradient_audit(self, moved):
+        # a Stage 2 problem through the default evaluate_rows of a contrast
+        # with a term added to evaluate; moved = 2 rotates two of three rows
         rng = np.random.default_rng(11)
         X = rng.laplace(size=(3, 500))
-        a = rng.standard_normal(3)
-        factory = ProblemFactory(
-            Cubic(), b_hook=lambda w, Xd: (0.1 * (w @ a) ** 2,
-                                           0.2 * (w @ a) * a))
+        contrast = CubicPlusQuadratic(rng.standard_normal(3))
+        assert type(contrast).evaluate_rows is ContrastFn.evaluate_rows
+        factory = ProblemFactory(contrast)
         Q_start = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         problem = factory.rotation_problem(X, Q_start, moved=moved)
         assert problem.dim == 3
@@ -318,7 +371,7 @@ class TestEvaluateRows:
         check_gradients(problem, x)
         Q, _ = cayley_rotation(x, Q_start)
         f, _ = problem.eval_objective(x)
-        expected = sum(factory.score(w, X)[0] for w in Q[:moved])
+        expected = sum(contrast.evaluate(w, X)[0] for w in Q[:moved])
         assert f == pytest.approx(-expected, rel=1e-14)
 
 
@@ -372,14 +425,18 @@ class TestCompose:
         J, _ = negentropy(self.start[0], self.X)
         assert f == pytest.approx(-J, abs=1e-14)
 
-    def test_constant_hook_shifts_objective_only(self):
+    def test_constant_term_shifts_objective_only(self):
         kappa = 0.37
-        hooked = ProblemFactory(
-            LogCoshNegentropy(), b_hook=lambda w, X: (kappa, np.zeros(w.size)))
+
+        class Shifted(LogCoshNegentropy):
+            def evaluate(self, w, x_tilde):
+                value, grad = super().evaluate(w, x_tilde)
+                return value + kappa, grad
+
         x = np.array([0.4, -0.3])
         f0, g0 = self.factory.rotation_problem(
             self.X, self.start, moved=1).eval_objective(x)
-        f1, g1 = hooked.rotation_problem(
+        f1, g1 = ProblemFactory(Shifted()).rotation_problem(
             self.X, self.start, moved=1).eval_objective(x)
         assert f1 == pytest.approx(f0 - kappa, abs=1e-14)
         np.testing.assert_allclose(g1, g0, atol=1e-14)

@@ -16,7 +16,7 @@ from adis_kit.pursuit import (
     seed_search,
 )
 from adis_kit.whiten import DataMatrix, center, fit_ppca
-from test_contrast import mean_abs
+from test_contrast import LogCoshPlusQuadratic, mean_abs
 
 
 def whitened_mixture(S, mix_seed):
@@ -333,6 +333,21 @@ class TestRunStages:
         C = np.abs(np.corrcoef(base.S_hat, res.S_hat))[:3, 3:]
         matched = sorted(C.max(axis=1))
         assert all(m >= 0.999 for m in matched)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_custom_contrast_reaches_every_stage(self, laplace_xt, scale):
+        # log-cosh plus c (w . a)^2: every Stage 1 value is that sum at the
+        # returned row, so the term entered Stages 1 and 0 alike
+        a = scale * np.random.default_rng(12).standard_normal(3)
+        contrast = LogCoshPlusQuadratic(a)
+        res = run_stages(laplace_xt, ProblemFactory(contrast),
+                         PursuitConfig(rng_seed=3))
+        assert np.max(np.abs(res.Q @ res.Q.T - np.eye(3))) <= 1e-12
+        for trace in res.component_traces + [res.joint_trace]:
+            assert trace.final.status == "converged"
+        for w, value in zip(res.Q_stage1, res.stage1_objectives):
+            assert value == contrast.evaluate(w, laplace_xt)[0]
+            assert value > negentropy(w, laplace_xt)[0]
 
 
 class TestRefineJoint:
