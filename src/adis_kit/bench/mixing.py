@@ -9,6 +9,10 @@ import numpy as np
 import scipy.linalg
 
 MAX_REGEN = 100
+# the random-sparse fill fraction, and the ill-conditioned family's target
+# condition number
+SPARSE_DENSITY = 0.2
+COND_TARGET = 1e4
 
 
 class MixingFamily(enum.Enum):
@@ -31,18 +35,12 @@ class MixingSpec:
     family: MixingFamily
     dim: int
     seed: int = 0
-    density: float = 0.2            # random-sparse fill fraction
-    cond_target: float = 1e4        # ill-conditioned target condition number
 
     def __post_init__(self):
         if isinstance(self.family, str):
             self.family = MixingFamily(self.family)
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if not 0 < self.density <= 1:
-            raise ValueError("density must lie in (0, 1]")
-        if self.cond_target < 1:
-            raise ValueError("cond_target must be >= 1")
         if self.family is MixingFamily.SKEW_SYMMETRIC and self.dim % 2 == 1:
             raise ValueError("skew-symmetric matrices of odd dimension are "
                              "singular; pick an even dim")
@@ -55,7 +53,7 @@ def _draw(spec: MixingSpec, seed: int) -> np.ndarray:
     if fam is MixingFamily.UNIFORM_RANDOM:
         return rng.uniform(0.0, 1.0, (q, q))
     if fam is MixingFamily.RANDOM_SPARSE:
-        mask = rng.random((q, q)) < spec.density
+        mask = rng.random((q, q)) < SPARSE_DENSITY
         return rng.standard_normal((q, q)) * mask
     if fam is MixingFamily.RANDOM_BIPOLAR:
         return rng.choice([-1.0, 1.0], size=(q, q))
@@ -67,7 +65,7 @@ def _draw(spec: MixingSpec, seed: int) -> np.ndarray:
         V, _ = np.linalg.qr(rng.standard_normal((q, q)))
         if q == 1:
             return np.array([[1.0]])
-        s = np.geomspace(1.0, 1.0 / spec.cond_target, q)
+        s = np.geomspace(1.0, 1.0 / COND_TARGET, q)
         return U @ np.diag(s) @ V.T
     if fam is MixingFamily.HILBERT:
         return scipy.linalg.hilbert(q)

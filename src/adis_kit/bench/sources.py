@@ -9,6 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
+# sparse_bells: bells per source, and each bell's width as a fraction of n
+BELLS_PER_SOURCE = 2
+BELL_WIDTH_FRAC = 0.008
+
+
+def _check_samples(n: int) -> None:
+    """Every generator needs n >= 2, the fewest samples
+    ``contrast.negentropy`` scores; checked before any array is built."""
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got n={n}")
+
 
 def _standardize(S: np.ndarray) -> np.ndarray:
     S = S - S.mean(axis=1, keepdims=True)
@@ -18,11 +29,8 @@ def _standardize(S: np.ndarray) -> np.ndarray:
 
 
 def synth5(n: int = 2000, seed: int = 0) -> np.ndarray:
-    """Five classic test sources: sine, square, sawtooth, uniform, Laplacian.
-
-    Needs n >= 2, the fewest samples ``contrast.negentropy`` scores."""
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got n={n}")
+    """Five classic test sources: sine, square, sawtooth, uniform, Laplacian."""
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     t = np.arange(n)
     rows = [
@@ -35,13 +43,14 @@ def synth5(n: int = 2000, seed: int = 0) -> np.ndarray:
     return _standardize(np.array(rows))
 
 
-def sparse_bells(q: int = 10, n: int = 2000, seed: int = 0,
-                 bumps: int = 2, width_frac: float = 0.008) -> np.ndarray:
+def sparse_bells(q: int = 10, n: int = 2000, seed: int = 0) -> np.ndarray:
     """Sparse smooth sources: a few Gaussian bells each, mostly zero."""
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     t = np.arange(n)
-    width = max(2.0, width_frac * n)
+    width = max(2.0, BELL_WIDTH_FRAC * n)
     S = np.zeros((q, n))
+    bumps = BELLS_PER_SOURCE
     for k in range(q):
         centers = rng.uniform(0.05 * n, 0.95 * n, bumps)
         amps = rng.uniform(0.5, 1.5, bumps) * rng.choice([-1.0, 1.0], bumps)
@@ -52,6 +61,7 @@ def sparse_bells(q: int = 10, n: int = 2000, seed: int = 0,
 
 def narrowband(q: int = 5, n: int = 2000, seed: int = 0) -> np.ndarray:
     """Narrow-band sources: a cluster of sinusoids per source."""
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     t = np.arange(n)
     S = np.zeros((q, n))
@@ -65,6 +75,7 @@ def narrowband(q: int = 5, n: int = 2000, seed: int = 0) -> np.ndarray:
 def speech_like(q: int = 5, n: int = 2000, seed: int = 0) -> np.ndarray:
     """Speech-like sources: AR(2) with poles near the unit circle, driven by
     heavy-tailed innovations."""
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     S = np.empty((q, n))
     for k in range(q):
@@ -84,9 +95,8 @@ def model_dataset(p: int, q: int, n: int, sigma: float, family: str = "gaussian"
                   seed: int = 0, return_truth: bool = False):
     """Noisy mixed data with a uniform mixing matrix scaled to unit smallest
     singular value. Source families: gaussian, uniform (negative kurtosis
-    excess), gamma (positive). Needs n >= 2, as ``synth5`` does."""
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got n={n}")
+    excess), gamma (positive)."""
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.0, 1.0, (p, q))
     A = A / np.linalg.svd(A, compute_uv=False)[-1]

@@ -145,9 +145,6 @@ def cmd_decompose(args) -> int:
         raise ConfigError(f"input file not found: {doc['input']}")
     cfg = build_pursuit_config(doc)
     data = DataMatrix(load_matrix(doc["input"]))
-    if doc.get("q") is not None and not 1 <= doc["q"] <= data.p:
-        raise ConfigError(f"latent dimension {doc['q']} out of range "
-                          f"[1, {data.p}]")
 
     outdir = Path(doc.get("output") or "adis-out")
     t0 = time.perf_counter()

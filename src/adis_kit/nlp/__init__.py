@@ -11,8 +11,6 @@ from .problem import (
 )
 from .quasi_newton import (
     DenseQuasiNewton,
-    LimitedQuasiNewton,
-    make_quasi_newton,
     quasi_newton_update,
 )
 from .solver import (
@@ -30,7 +28,6 @@ __all__ = [
     "AugLagConfig",
     "DenseQuasiNewton",
     "DimensionError",
-    "LimitedQuasiNewton",
     "NlpProblem",
     "NlpSolution",
     "SolveScale",
@@ -42,7 +39,6 @@ __all__ = [
     "check_gradients",
     "inner_solve",
     "kkt_residual",
-    "make_quasi_newton",
     "project_box",
     "projected_gradient_norm",
     "quasi_newton_update",

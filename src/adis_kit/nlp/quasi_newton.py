@@ -7,10 +7,9 @@ of the last pair offered with y's > 0 (Shanno & Phua 1978, Math. Program. 14;
 Nocedal & Wright 2006, eq. 6.20). Built with ``rescale_first``, a variant
 resets its matrix to that scale times I just before its first pair, when
 y's > 0, so only the first step is taken at the starting scale.
-Limited-memory variants keep the last ``memory`` pairs and rebuild the dense
-matrix from a scaled identity on demand (cached between updates); at the
-problem sizes this solver targets that is equivalent to the compact
-representation and avoids its middle-matrix degeneracies.
+``solve`` builds one ``DenseQuasiNewton``. ``LimitedQuasiNewton`` keeps the
+last ``memory`` pairs and rebuilds the dense matrix from a scaled identity on
+demand (cached between updates); ``solve`` does not use it.
 """
 
 from __future__ import annotations
@@ -131,11 +130,14 @@ class _PairScale:
 class DenseQuasiNewton(_PairScale):
     """Full-memory SR1 or BFGS approximation held as a dense matrix."""
 
+    # the kinds it accepts, in any letter case
+    KINDS = ("sr1", "bfgs")
+
     def __init__(self, n: int, kind: str = "sr1", gamma: float = 1.0,
                  rescale_first: bool = False):
         self.n = n
         self.kind = kind.lower()
-        if self.kind not in ("sr1", "bfgs"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown quasi-Newton kind {kind!r}")
         self._B = gamma * np.eye(n)
         self.rescale_first = rescale_first
@@ -159,6 +161,9 @@ class DenseQuasiNewton(_PairScale):
         return self._B
 
 
+# Nothing in the package builds this class. It stays only because the
+# benchmark's tracer names LimitedQuasiNewton.update; ROADMAP item 8 deletes
+# it once item 4 has taken that name out of the tracer.
 class LimitedQuasiNewton(_PairScale):
     """Limited-memory SR1 or BFGS over a window of recent (s, y) pairs."""
 
@@ -206,18 +211,3 @@ class LimitedQuasiNewton(_PairScale):
             self._cache = B
         return self._cache
 
-
-# the kinds make_quasi_newton accepts, in any letter case
-QN_KINDS = ("sr1", "bfgs", "l-sr1", "l-bfgs")
-
-
-def make_quasi_newton(kind: str, n: int, gamma: float, memory: int = 10,
-                      rescale_first: bool = False):
-    kind = kind.lower()
-    if kind in ("sr1", "bfgs"):
-        return DenseQuasiNewton(n, kind=kind, gamma=gamma,
-                                rescale_first=rescale_first)
-    if kind in ("l-sr1", "l-bfgs"):
-        return LimitedQuasiNewton(n, kind=kind, gamma=gamma, memory=memory,
-                                  rescale_first=rescale_first)
-    raise ValueError(f"unknown quasi-Newton kind {kind!r}")

@@ -71,7 +71,7 @@ import numpy as np
 
 from .problem import (NlpProblem, add_slacks, kkt_residual, project_box,
                       projected_gradient_norm)
-from .quasi_newton import QN_KINDS, make_quasi_newton
+from .quasi_newton import DenseQuasiNewton
 from .subproblem import cauchy_point, steihaug_cg, trust_region_update
 from .trace import SolveTrace, TraceRecord
 
@@ -98,11 +98,11 @@ MERIT_ROUNDING = 10.0 * np.finfo(float).eps
 
 @dataclass
 class AugLagConfig:
-    """Stopping tolerances, iteration budgets and quasi-Newton variant.
+    """Five fields: stopping tolerances, iteration budgets and quasi-Newton
+    variant.
 
-    The two stopping tolerances default to 1e-6. ``qn_kind`` is one of
-    ``sr1``, ``bfgs``, ``l-sr1`` and ``l-bfgs``; ``lm_memory`` is the window
-    of the limited-memory variants.
+    The two stopping tolerances default to 1e-6. ``qn_kind`` is ``sr1`` or
+    ``bfgs``, in any letter case.
     """
 
     eta_con_star: float = 1e-6
@@ -110,14 +110,13 @@ class AugLagConfig:
     max_outer: int = 100
     j_max: int = 200
     qn_kind: str = "sr1"
-    lm_memory: int = 10
 
     def validate(self) -> None:
         if self.eta_con_star <= 0 or self.eta_grad_star <= 0:
             raise ValueError("stopping tolerances must be positive")
-        if self.j_max < 1 or self.max_outer < 1 or self.lm_memory < 1:
+        if self.j_max < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be positive")
-        if self.qn_kind.lower() not in QN_KINDS:
+        if self.qn_kind.lower() not in DenseQuasiNewton.KINDS:
             raise ValueError(f"unknown quasi-Newton kind {self.qn_kind!r}")
 
 
@@ -362,7 +361,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
     # the raw data at the current outer iterate x: each inner solve starts
     # from it, so no point is evaluated twice
     ev = evaluate_raw(prob, x)
-    gamma = max(1.0, float(np.abs(ev.g).max()) if ev.g.size else 1.0)
+    gamma = max(1.0, float(np.abs(ev.g).max()))
     delta0, rescale_first = DELTA0, False
     if not schedule:
         if scale is not None:
@@ -371,8 +370,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             rescale_first = True
         else:
             gamma = scale.curvature
-    qn = make_quasi_newton(cfg.qn_kind, prob.dim, gamma, cfg.lm_memory,
-                           rescale_first=rescale_first)
+    qn = DenseQuasiNewton(prob.dim, cfg.qn_kind, gamma, rescale_first)
 
     trace = SolveTrace()
     status = SolveStatus.MAX_ITERATIONS

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adis_kit.bench import (
+    SOURCE_SUITES,
     GridConfig,
     MixingFamily,
     MixingSpec,
@@ -110,8 +111,9 @@ class TestSources:
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_generators_reject_fewer_than_two_samples(self, n):
         # two samples are the fewest the contrast scores
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            synth5(n=n)
+        for gen in SOURCE_SUITES.values():
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                gen(n=n)
         with pytest.raises(ValueError, match="at least 2 samples"):
             model_dataset(p=4, q=2, n=n, sigma=0.5)
 

@@ -2,6 +2,7 @@ import json
 import pickle
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -158,10 +159,12 @@ class TestDecompose:
 
     def test_unknown_solver_key_rejected(self, fixture_csv, tmp_path, capsys):
         # besides a junk key: names of the fixed penalty and trust-region
-        # constants, and of a preconditioner and Hessian scale the solver
-        # does not have, which older manifests carry
+        # constants, of a preconditioner and Hessian scale the solver does
+        # not have, and of the limited-memory window, which older manifests
+        # carry
         for key in ("momentum", "mu0", "theta_h", "theta_l", "mu_floor",
-                    "delta0", "rho_accept", "precondition", "b0_scale"):
+                    "delta0", "rho_accept", "precondition", "b0_scale",
+                    "lm_memory"):
             cfg = tmp_path / f"bad-{key}.json"
             cfg.write_text(json.dumps({"input": str(fixture_csv),
                                        "solver": {key: 1}}))
@@ -199,6 +202,7 @@ def test_decompose_config_accepts_null_and_int_for_float(fixture_csv,
 # case -> (config file entries, extra flags); every case must exit 2
 BAD_DECOMPOSE_CONFIGS = {
     "solver-qn-kind-int": ({"solver": {"qn_kind": 5}}, []),
+    "solver-qn-kind-limited": ({"solver": {"qn_kind": "l-sr1"}}, []),
     "solver-j-max-str": ({"solver": {"j_max": "10"}}, []),
     "pursuit-n-seeds-str": ({"pursuit": {"n_seeds": "5"}}, []),
     "q-str": ({"q": "3"}, []),
@@ -345,6 +349,8 @@ BAD_BENCH_INPUTS = {
                             "--families", "gaussian", "--reps", "1"], None),
     "grid-reps-zero": (["latdim-grid", "--reps", "0"], None),
     "sir-mc-nb-zero": (["sir-mc", "--n", "300", "--nb", "0"], None),
+    "sir-mc-n-zero": (["sir-mc", "--sources", "sparse-bells", "--n", "0",
+                       "--nb", "1"], None),
     "sir-mc-rank-deficient": (["sir-mc", "--sources", "S.csv"],
                               _write_rank_deficient_sources),
     "nnls-npy": (["nlp", "nnls", "--file", "inst.npy"],
@@ -367,9 +373,15 @@ def test_bench_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if write is not None:
         write(tmp_path / args[-1])
-    assert main(["bench", *args]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["bench", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # the script would print these to stderr ahead of the error line
+    assert not caught, [str(w.message) for w in caught]
+    if case != "sir-mc-rank-deficient":
+        assert "rank deficient" not in err
     assert not (tmp_path / "adis-out").exists()
 
 
