@@ -34,6 +34,8 @@ from .bench import (
     nnls_problem,
     polygon_area,
     polygon_problem,
+    random_nnls_instance,
+    sir as sir_fn,
     synth5,
 )
 from .dataio import load_matrix, save_matrix_csv
@@ -220,13 +222,9 @@ def cmd_latdim(args) -> int:
 def cmd_bench_nlp(args) -> int:
     cfg = AugLagConfig()
     if args.problem == "electron":
-        problem = electron_problem(args.np_, seed=args.seed)
-        sol = solve(problem, config=cfg)
-        print(f"electron n_p={args.np_}: objective={sol.f:.6f} "
-              f"kkt_grad={sol.kkt_grad:.3e} kkt_con={sol.kkt_con:.3e} "
-              f"outer={sol.n_outer} status={sol.status.value}")
-        return 0 if sol.converged else 3
-    if args.problem == "polygon":
+        sol = solve(electron_problem(args.np_, seed=args.seed), config=cfg)
+        head = f"electron n_p={args.np_}: objective={sol.f:.6f}"
+    elif args.problem == "polygon":
         best = None
         for seed in [None] + list(range(args.multistart - 1)):
             problem = polygon_problem(args.nv, seed=seed)
@@ -240,30 +238,26 @@ def cmd_bench_nlp(args) -> int:
             print("error: no polygon start converged", file=sys.stderr)
             return 3
         area, sol = best
-        print(f"polygon n_v={args.nv}: area={area:.6f} "
-              f"kkt_grad={sol.kkt_grad:.3e} kkt_con={sol.kkt_con:.3e} "
-              f"outer={sol.n_outer} status={sol.status.value}")
-        return 0
-    # nnls
-    if args.file:
-        try:
-            npz = np.load(args.file)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with npz:
-                A, b = npz["A"], npz["b"]
-                C = npz["C"] if "C" in npz else np.eye(A.shape[1])
-                d = npz["d"] if "d" in npz else np.zeros(C.shape[0])
-            problem = nnls_problem(A, b, C, d)
-        except (OSError, KeyError, ValueError) as exc:
-            raise ConfigError(f"cannot read {args.file}: {exc}") from exc
+        head = f"polygon n_v={args.nv}: area={area:.6f}"
     else:
-        from .bench import random_nnls_instance
-        A, b, C, d = random_nnls_instance(args.rows, args.cols, args.seed)
-        problem = nnls_problem(A, b, C, d)
-    sol = solve(problem, config=cfg)
-    print(f"nnls {A.shape[0]}x{A.shape[1]}: objective={sol.f:.6f} "
-          f"kkt_grad={sol.kkt_grad:.3e} kkt_con={sol.kkt_con:.3e} "
+        if args.file:
+            try:
+                npz = np.load(args.file)
+                if not isinstance(npz, np.lib.npyio.NpzFile):
+                    raise ValueError("not an .npz archive")
+                with npz:
+                    A, b = npz["A"], npz["b"]
+                    C = npz["C"] if "C" in npz else np.eye(A.shape[1])
+                    d = npz["d"] if "d" in npz else np.zeros(C.shape[0])
+                problem = nnls_problem(A, b, C, d)
+            except (OSError, KeyError, ValueError) as exc:
+                raise ConfigError(f"cannot read {args.file}: {exc}") from exc
+        else:
+            A, b, C, d = random_nnls_instance(args.rows, args.cols, args.seed)
+            problem = nnls_problem(A, b, C, d)
+        sol = solve(problem, config=cfg)
+        head = f"nnls {A.shape[0]}x{A.shape[1]}: objective={sol.f:.6f}"
+    print(f"{head} kkt_grad={sol.kkt_grad:.3e} kkt_con={sol.kkt_con:.3e} "
           f"outer={sol.n_outer} status={sol.status.value}")
     return 0 if sol.converged else 3
 
@@ -300,7 +294,6 @@ def cmd_bench_score(args) -> int:
     write its estimated sources in the same matrix format, and score them
     here against the truth.
     """
-    from .bench import sir as sir_fn
     rep = sir_fn(load_matrix(args.truth), load_matrix(args.estimates))
     per_source = " ".join(f"{v:.4f}" for v in rep.sir_db)
     print(f"mean_sir_db={rep.mean_db:.4f} per_source=[{per_source}] "

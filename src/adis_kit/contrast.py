@@ -158,12 +158,16 @@ class LogCoshNegentropy(ContrastFn):
     def evaluate_rows(self, W, x_tilde):
         """``negentropy`` of every row of ``W``: in one call when the
         projected rows fit ``SCORE_BLOCK_ELEMENTS``, else row by row, where
-        a block gains nothing over the 1-D path."""
+        a block gains nothing over the 1-D path. Like ``scores``, it is
+        plain log-cosh at every sample count, whatever ``evaluate`` a
+        subclass gives."""
         W = np.asarray(W, dtype=float)
         X = np.asarray(x_tilde, dtype=float)
         if W.shape[0] * X.shape[1] <= SCORE_BLOCK_ELEMENTS:
             return negentropy(W, X)
-        return super().evaluate_rows(W, X)
+        pairs = [negentropy(w, X) for w in W]
+        return (np.array([v for v, _ in pairs]),
+                np.array([g for _, g in pairs]))
 
     def scores(self, D, x_tilde):
         """``negentropy`` values for the rows of ``D``, without gradients.

@@ -69,28 +69,26 @@ class NlpProblem:
         return float(f), g
 
     def eval_eq(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.eq_constraints is None:
-            return np.zeros(0), np.zeros((0, self.dim))
-        c, J = self.eq_constraints(x)
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        J = np.asarray(J, dtype=float).reshape(-1, self.dim)
-        if c.shape != (self.n_eq,) or J.shape != (self.n_eq, self.dim):
-            raise DimensionError(
-                f"equality block returned shapes {c.shape}, {J.shape}; "
-                f"declared ({self.n_eq},), ({self.n_eq}, {self.dim})")
-        return c, J
+        return self._eval_block(self.eq_constraints, x, self.n_eq, "equality")
 
     def eval_ineq(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.ineq_constraints is None:
+        return self._eval_block(self.ineq_constraints, x, self.n_ineq,
+                                "inequality")
+
+    def _eval_block(self, block, x: np.ndarray, rows: int, label: str
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Values and Jacobian of a constraint block at ``x``, checked
+        against its declared ``rows``; empty when there is no block."""
+        if block is None:
             return np.zeros(0), np.zeros((0, self.dim))
-        g, J = self.ineq_constraints(x)
-        g = np.atleast_1d(np.asarray(g, dtype=float))
+        v, J = block(x)
+        v = np.atleast_1d(np.asarray(v, dtype=float))
         J = np.asarray(J, dtype=float).reshape(-1, self.dim)
-        if g.shape != (self.n_ineq,) or J.shape != (self.n_ineq, self.dim):
+        if v.shape != (rows,) or J.shape != (rows, self.dim):
             raise DimensionError(
-                f"inequality block returned shapes {g.shape}, {J.shape}; "
-                f"declared ({self.n_ineq},), ({self.n_ineq}, {self.dim})")
-        return g, J
+                f"{label} block returned shapes {v.shape}, {J.shape}; "
+                f"declared ({rows},), ({rows}, {self.dim})")
+        return v, J
 
 
 def _as_bound(b, n: int, fill: float) -> np.ndarray:

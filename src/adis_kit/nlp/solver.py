@@ -41,9 +41,8 @@ ops 1..40 and bss-noisy-long ops 1..8):
     + the last solve's radius        76.25  6.34/ 7.55   84.38  6.88/11.38
     + its curvature (Stage 1 only)   62.85  4.58/ 8.25   72.75  5.48/10.88
 
-With equality rows the rule took more iterations (polygon-6 88 -> 108 with
-SR1, 82 -> 121 with BFGS), so those solves start as before, ignore a given
-scale and report none.
+With equality rows the rule took more iterations (polygon-6 88 -> 108), so
+those solves start as before, ignore a given scale and report none.
 
 Each point is evaluated once: an inner solve starts from the raw data the
 outer loop holds for its iterate, and only the final KKT stamp evaluates
@@ -98,26 +97,21 @@ MERIT_ROUNDING = 10.0 * np.finfo(float).eps
 
 @dataclass
 class AugLagConfig:
-    """Five fields: stopping tolerances, iteration budgets and quasi-Newton
-    variant.
+    """Four fields: stopping tolerances and iteration budgets.
 
-    The two stopping tolerances default to 1e-6. ``qn_kind`` is ``sr1`` or
-    ``bfgs``, in any letter case.
+    The two stopping tolerances default to 1e-6.
     """
 
     eta_con_star: float = 1e-6
     eta_grad_star: float = 1e-6
     max_outer: int = 100
     j_max: int = 200
-    qn_kind: str = "sr1"
 
     def validate(self) -> None:
         if self.eta_con_star <= 0 or self.eta_grad_star <= 0:
             raise ValueError("stopping tolerances must be positive")
         if self.j_max < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be positive")
-        if self.qn_kind.lower() not in DenseQuasiNewton.KINDS:
-            raise ValueError(f"unknown quasi-Newton kind {self.qn_kind!r}")
 
 
 @dataclass
@@ -370,7 +364,7 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             rescale_first = True
         else:
             gamma = scale.curvature
-    qn = DenseQuasiNewton(prob.dim, cfg.qn_kind, gamma, rescale_first)
+    qn = DenseQuasiNewton(prob.dim, gamma, rescale_first)
 
     trace = SolveTrace()
     status = SolveStatus.MAX_ITERATIONS

@@ -119,7 +119,7 @@ class TestDecompose:
         cfg.write_text(json.dumps({
             "pursuit": {"n_seeds": 60, "retained": 3, "run_stage2": False,
                         "channel_center": False},
-            "solver": {"qn_kind": "bfgs", "eta_con_star": 1e-7}}))
+            "solver": {"eta_con_star": 1e-7}}))
         assert main(["decompose", "--input", str(fixture_csv), "--seed", "9",
                      "--q", "2", "--config", str(cfg),
                      "--output", str(first)]) == 0
@@ -128,7 +128,7 @@ class TestDecompose:
         assert set(pursuit) == {f.name for f in fields(PursuitConfig)} - {
             "solver", "rng_seed"}
         assert pursuit["n_seeds"] == 60 and pursuit["run_stage2"] is False
-        assert manifest["config"]["solver"]["qn_kind"] == "bfgs"
+        assert manifest["config"]["solver"]["eta_con_star"] == 1e-7
         assert manifest["config"]["seed"] == 9
         assert not (first / "trace-joint.jsonl").exists()
         second = tmp_path / "second"
@@ -160,11 +160,11 @@ class TestDecompose:
     def test_unknown_solver_key_rejected(self, fixture_csv, tmp_path, capsys):
         # besides a junk key: names of the fixed penalty and trust-region
         # constants, of a preconditioner and Hessian scale the solver does
-        # not have, and of the limited-memory window, which older manifests
-        # carry
+        # not have, and of the limited-memory window and the quasi-Newton
+        # kind, which older manifests carry
         for key in ("momentum", "mu0", "theta_h", "theta_l", "mu_floor",
                     "delta0", "rho_accept", "precondition", "b0_scale",
-                    "lm_memory"):
+                    "lm_memory", "qn_kind"):
             cfg = tmp_path / f"bad-{key}.json"
             cfg.write_text(json.dumps({"input": str(fixture_csv),
                                        "solver": {key: 1}}))
@@ -203,6 +203,7 @@ def test_decompose_config_accepts_null_and_int_for_float(fixture_csv,
 BAD_DECOMPOSE_CONFIGS = {
     "solver-qn-kind-int": ({"solver": {"qn_kind": 5}}, []),
     "solver-qn-kind-limited": ({"solver": {"qn_kind": "l-sr1"}}, []),
+    "solver-qn-kind-sr1": ({"solver": {"qn_kind": "sr1"}}, []),
     "solver-j-max-str": ({"solver": {"j_max": "10"}}, []),
     "pursuit-n-seeds-str": ({"pursuit": {"n_seeds": "5"}}, []),
     "q-str": ({"q": "3"}, []),

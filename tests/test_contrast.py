@@ -340,6 +340,23 @@ class TestEvaluateRows:
             np.testing.assert_array_equal(g, g1)
 
     @pytest.mark.parametrize("n", [2000, 20000])
+    def test_subclass_evaluate_leaves_rows_on_logcosh(self, n):
+        # below and above the block budget alike, the rows are plain
+        # log-cosh: an overridden evaluate reaches neither path
+        class Shifted(LogCoshNegentropy):
+            def evaluate(self, w, x_tilde):
+                value, grad = super().evaluate(w, x_tilde)
+                return value + 1.0, grad
+
+        W, X = self.rows_and_data(n, seed=5)
+        values, grads = Shifted().evaluate_rows(W, X)
+        ref = [negentropy(w, X) for w in W]
+        np.testing.assert_allclose(values, [v for v, _ in ref],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(grads, [g for _, g in ref],
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [2000, 20000])
     def test_added_term_rows_match_evaluate(self, n):
         # the term is added once below and above the block budget, where
         # the log-cosh rows go through its own evaluate, not the sum's

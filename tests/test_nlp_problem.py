@@ -144,15 +144,20 @@ class TestCallbackValidation:
         with pytest.raises(DimensionError):
             p.eval_objective(np.zeros(3))
 
-    def test_bad_constraint_shape(self):
+    @pytest.mark.parametrize("kind", ["eq", "ineq"])
+    def test_bad_constraint_shape(self, kind):
+        label = {"eq": "equality", "ineq": "inequality"}[kind]
         p = NlpProblem(
             dim=2,
             objective=lambda x: (0.0, np.zeros(2)),
-            eq_constraints=lambda x: (np.zeros(3), np.zeros((3, 2))),
-            n_eq=2,
+            **{f"{kind}_constraints": lambda x: (np.zeros(3),
+                                                  np.zeros((3, 2))),
+               f"n_{kind}": 2},
         )
-        with pytest.raises(DimensionError):
-            p.eval_eq(np.zeros(2))
+        with pytest.raises(DimensionError, match=f"^{label} block returned "
+                           r"shapes \(3,\), \(3, 2\); declared \(2,\), "
+                           r"\(2, 2\)$"):
+            getattr(p, f"eval_{kind}")(np.zeros(2))
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,12 @@ from adis_kit.nlp.quasi_newton import LimitedQuasiNewton
 
 
 def build(kind, n, gamma, rescale_first=False):
-    """The dense state for ``sr1`` and ``bfgs``, the limited one (window 4)
-    for ``l-sr1`` and ``l-bfgs``."""
-    if kind.startswith("l-"):
-        return LimitedQuasiNewton(n, kind, gamma, memory=4,
+    """The dense state for ``sr1``, the limited one (window 4) for
+    ``l-sr1``."""
+    if kind == "l-sr1":
+        return LimitedQuasiNewton(n, gamma, memory=4,
                                   rescale_first=rescale_first)
-    return DenseQuasiNewton(n, kind, gamma, rescale_first)
+    return DenseQuasiNewton(n, gamma, rescale_first)
 
 
 def sr1_exact_rational(H, steps):
@@ -45,7 +45,7 @@ class TestSR1:
                       [0, 0, 1, 7, 3],
                       [0, 0, 0, 3, 8]], dtype=float)
         steps = [np.eye(5)[i] for i in range(5)]
-        qn = DenseQuasiNewton(5, kind="sr1", gamma=1.0)
+        qn = DenseQuasiNewton(5, gamma=1.0)
         for s in steps:
             qn.update(s, H @ s)
         oracle = sr1_exact_rational(H.astype(int).tolist(),
@@ -54,7 +54,7 @@ class TestSR1:
         np.testing.assert_allclose(qn.matrix(), H, atol=1e-8)
 
     def test_skip_when_y_equals_Bs(self):
-        qn = DenseQuasiNewton(3, kind="sr1", gamma=2.0)
+        qn = DenseQuasiNewton(3, gamma=2.0)
         B_before = qn.matrix().copy()
         s = np.array([1.0, 0.0, 0.0])
         applied = qn.update(s, 2.0 * s)   # y = B s exactly
@@ -65,7 +65,7 @@ class TestSR1:
         B = np.eye(2)
         s = np.array([1.0, 0.0])
         y = np.array([3.0, 1.0])
-        B2, applied = quasi_newton_update(B, s, y, kind="sr1")
+        B2, applied = quasi_newton_update(B, s, y)
         assert applied
         np.testing.assert_allclose(B2 @ s, y, atol=1e-12)
 
@@ -74,26 +74,7 @@ class TestSR1:
             quasi_newton_update(np.eye(2), np.zeros(2), np.ones(2))
 
 
-class TestBFGS:
-    def test_positive_definite_preserved(self):
-        rng = np.random.default_rng(0)
-        qn = DenseQuasiNewton(4, kind="bfgs", gamma=1.0)
-        for _ in range(20):
-            s = rng.standard_normal(4)
-            y = s + 0.1 * rng.standard_normal(4)
-            if y @ s <= 0:
-                continue
-            qn.update(s, y)
-            np.linalg.cholesky(qn.matrix())   # raises if not PD
-
-    def test_curvature_floor_skips(self):
-        qn = DenseQuasiNewton(2, kind="bfgs", gamma=1.0)
-        s = np.array([1.0, 0.0])
-        applied = qn.update(s, -s)           # negative curvature
-        assert not applied
-
-
-@pytest.mark.parametrize("kind", ["sr1", "bfgs", "l-sr1", "l-bfgs"])
+@pytest.mark.parametrize("kind", ["sr1", "l-sr1"])
 class TestSecantCondition:
     def test_secant_on_applied_updates(self, kind):
         rng = np.random.default_rng(42)
@@ -108,7 +89,7 @@ class TestSecantCondition:
                 assert resid <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
-@pytest.mark.parametrize("kind", ["sr1", "bfgs", "l-sr1", "l-bfgs"])
+@pytest.mark.parametrize("kind", ["sr1", "l-sr1"])
 class TestFirstPairScale:
     """``rescale_first`` resets the matrix to (y'y / y's)·I just before the
     first pair, when y's > 0, and never again."""
@@ -148,27 +129,23 @@ class TestFirstPairScale:
 
 class TestLimitedMemory:
     def test_window_is_bounded(self):
-        qn = LimitedQuasiNewton(3, kind="l-sr1", gamma=1.0, memory=2)
+        qn = LimitedQuasiNewton(3, gamma=1.0, memory=2)
         rng = np.random.default_rng(1)
         for _ in range(10):
             s = rng.standard_normal(3)
             qn.update(s, 2.0 * s + 0.01 * rng.standard_normal(3))
         assert len(qn._pairs) <= 2
 
-    def test_lbfgs_base_scale_tracks_latest_pair(self):
-        qn = LimitedQuasiNewton(2, kind="l-bfgs", gamma=1.0, memory=1)
-        s = np.array([1.0, 0.0])
-        y = np.array([5.0, 0.0])
-        qn.update(s, y)
-        # with one stored pair the matrix must satisfy the secant equation
-        np.testing.assert_allclose(qn.matrix() @ s, y, atol=1e-12)
-
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DenseQuasiNewton(3, "dfp")
-        # solve runs the dense kinds only
-        with pytest.raises(ValueError, match="unknown quasi-Newton kind"):
-            AugLagConfig(qn_kind="l-sr1").validate()
+        # SR1 is the one rule: nothing takes a kind
+        with pytest.raises(TypeError):
+            DenseQuasiNewton(3, kind="sr1")
+        with pytest.raises(TypeError):
+            LimitedQuasiNewton(3, kind="l-sr1")
+        with pytest.raises(TypeError):
+            quasi_newton_update(np.eye(2), np.ones(2), np.ones(2), "sr1")
+        with pytest.raises(TypeError):
+            AugLagConfig(qn_kind="sr1")
 
 
 class _FullUpdateLimitedQuasiNewton(LimitedQuasiNewton):
@@ -176,8 +153,7 @@ class _FullUpdateLimitedQuasiNewton(LimitedQuasiNewton):
     updated matrix and discarding it."""
 
     def update(self, s, y):
-        _, applied = qn_module.quasi_newton_update(self.matrix(), s, y,
-                                                   self.kind)
+        _, applied = qn_module.quasi_newton_update(self.matrix(), s, y)
         if applied:
             self._pairs.append((s.copy(), y.copy()))
             self._cache = None
@@ -189,7 +165,7 @@ class TestLimitedSkipFromTerms:
     decide it: the same matrices and skips as building the whole updated
     matrix, with one rank-one update fewer per pair offered."""
 
-    @pytest.mark.parametrize("kind", ["l-sr1", "l-bfgs"])
+    @pytest.mark.parametrize("kind", ["l-sr1"])
     def test_same_skips_on_pairs_that_fail(self, kind, monkeypatch):
         calls = [0]
         full_update = qn_module.quasi_newton_update
@@ -199,11 +175,11 @@ class TestLimitedSkipFromTerms:
             return full_update(*args)
 
         monkeypatch.setattr(qn_module, "quasi_newton_update", counted)
-        # negative curvature fails the BFGS floor, and y = B s leaves SR1 no
-        # denominator; both rules skip some pairs here and apply others
+        # y = B s leaves SR1 no denominator: the rule skips some pairs here
+        # and applies others
         rng = np.random.default_rng(5)
-        new = LimitedQuasiNewton(4, kind=kind, memory=3)
-        old = _FullUpdateLimitedQuasiNewton(4, kind=kind, memory=3)
+        new = LimitedQuasiNewton(4, memory=3)
+        old = _FullUpdateLimitedQuasiNewton(4, memory=3)
         decisions, new_calls, old_calls = [], 0, 0
         for i in range(40):
             s = rng.standard_normal(4)

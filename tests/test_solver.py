@@ -70,7 +70,7 @@ class TestInnerSolve:
         M = rng.standard_normal((5, 5))
         B = M @ M.T + 3 * np.eye(5)
         g0 = rng.standard_normal(5)
-        qn = DenseQuasiNewton.from_matrix(B, kind="bfgs")
+        qn = DenseQuasiNewton.from_matrix(B)
         res = inner_solve(quadratic_model(B, g0), np.zeros(5),
                           np.full(5, -np.inf), np.full(5, np.inf),
                           eta_grad=1e-8, j_max=50, qn=qn, delta0=1e6)
@@ -84,7 +84,7 @@ class TestInnerSolve:
         B = M @ M.T + np.eye(3)
         g0 = np.array([-4.0, 3.0, -2.0])   # pushes the minimizer outside
         lo, hi = np.full(3, -0.5), np.full(3, 0.5)
-        qn = DenseQuasiNewton.from_matrix(B, kind="bfgs")
+        qn = DenseQuasiNewton.from_matrix(B)
         res = inner_solve(quadratic_model(B, g0), np.zeros(3), lo, hi,
                           eta_grad=1e-10, j_max=100, qn=qn, delta0=10.0)
         assert res.success
@@ -94,7 +94,7 @@ class TestInnerSolve:
     def test_negative_curvature_step_hits_boundary(self):
         B = np.diag([-1.0, 1.0])
         g0 = np.array([1.0, 0.0])
-        qn = DenseQuasiNewton.from_matrix(B, kind="sr1")
+        qn = DenseQuasiNewton.from_matrix(B)
         steps = []
 
         def watch(j, x, L, g, pg, delta, rho, accepted, skipped, payload):
@@ -117,7 +117,7 @@ class TestInnerSolve:
                           200 * (x[1] - x[0] ** 2)])
             return f, g, None
 
-        qn = DenseQuasiNewton(2, kind="sr1", gamma=1.0)
+        qn = DenseQuasiNewton(2, gamma=1.0)
         seen = []
 
         def watch(j, x, L, g, pg, delta, rho, accepted, skipped, payload):
@@ -155,7 +155,7 @@ class TestInnerSolve:
         x0 = np.array([1e-3, -1e-3])
         res = inner_solve(model, x0, np.full(2, -np.inf), np.full(2, np.inf),
                           eta_grad=1e-12, j_max=30,
-                          qn=DenseQuasiNewton(2, kind="sr1", gamma=curv),
+                          qn=DenseQuasiNewton(2, gamma=curv),
                           on_iteration=watch)
         assert res.success
         assert res.iterations == 1
@@ -404,10 +404,9 @@ class TestOuterSolve:
             AugLagConfig(eta_con_star=0).validate()
         with pytest.raises(ValueError):
             AugLagConfig(j_max=0).validate()
-        with pytest.raises(ValueError):
-            AugLagConfig(qn_kind="nope").validate()
-        with pytest.raises(ValueError):
-            AugLagConfig(qn_kind="lbfgs").validate()
+        # SR1 is the one quasi-Newton rule, so no field picks one
+        with pytest.raises(TypeError):
+            AugLagConfig(qn_kind="sr1")
 
 
 def _small_curvature_quadratic():
@@ -514,10 +513,9 @@ def _reference_trust_region_update(rho, step, delta):
 
 
 class _ReferenceQuasiNewton:
-    """Dense SR1 or BFGS, updated at every iteration, accepted or not."""
+    """Dense SR1, updated at every iteration, accepted or not."""
 
-    def __init__(self, n, kind, gamma, rescale_first):
-        self.kind = kind
+    def __init__(self, n, gamma, rescale_first):
         self.B = gamma * np.eye(n)
         self.rescale_first = rescale_first
         self.pair_scale = None
@@ -530,22 +528,11 @@ class _ReferenceQuasiNewton:
             if self.rescale_first:
                 self.B = self.pair_scale * np.eye(len(s))
         self.rescale_first = False
-        B = self.B
-        if self.kind == "sr1":
-            w = y - B @ s
-            den = float(w @ s)
-            if abs(den) <= 1e-8 * np.linalg.norm(s) * np.linalg.norm(w):
-                return False
-            self.B = B + np.outer(w, w) / den
-            return True
-        ys = float(y @ s)
-        if ys <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        w = y - self.B @ s
+        den = float(w @ s)
+        if abs(den) <= 1e-8 * np.linalg.norm(s) * np.linalg.norm(w):
             return False
-        Bs = B @ s
-        sBs = float(s @ Bs)
-        if sBs <= 0.0:
-            return False
-        self.B = B + np.outer(y, y) / ys - np.outer(Bs, Bs) / sBs
+        self.B = self.B + np.outer(w, w) / den
         return True
 
 
@@ -665,7 +652,7 @@ def _reference_solve(problem, x0, cfg, scale=None):
     own_scale = not schedule and (scale is None or scale.curvature is None)
     if not schedule and not own_scale:
         gamma = scale.curvature
-    qn = _ReferenceQuasiNewton(prob.dim, cfg.qn_kind, gamma, own_scale)
+    qn = _ReferenceQuasiNewton(prob.dim, gamma, own_scale)
     trace = SolveTrace()
     status = SolveStatus.MAX_ITERATIONS
     n_inner_total = 0
@@ -844,12 +831,12 @@ class TestRewrittenSolverMatchesReference:
           for s in (None, 0, 1, 2, 3)],
         *[(lambda s=s: nnls_problem(*random_nnls_instance(40, 20, seed=s)))
           for s in (0, 1, 2)],
-    ], ids=["electron-8", "polygon-fan", "polygon-0", "polygon-1",
-            "polygon-2", "polygon-3", "nnls-0", "nnls-1", "nnls-2"])
-    @pytest.mark.parametrize("qn_kind", ["sr1", "bfgs"])
-    def test_fixtures(self, make, qn_kind):
+    ], ids=[f"sr1-{name}" for name in (
+        "electron-8", "polygon-fan", "polygon-0", "polygon-1", "polygon-2",
+        "polygon-3", "nnls-0", "nnls-1", "nnls-2")])
+    def test_fixtures(self, make):
         problem = make()
-        cfg = AugLagConfig(qn_kind=qn_kind)
+        cfg = AugLagConfig()
         _assert_same_solution(solve(problem, config=cfg),
                               _reference_solve(problem, problem.x0, cfg))
 
