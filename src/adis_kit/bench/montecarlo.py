@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..pursuit import PursuitConfig, PursuitError, decompose
-from ..whiten import DataMatrix
+from ..whiten import DataMatrix, _matmul_columns
 from .mixing import MixingFamily, MixingSpec, gen_mixing
 from .sir import McSirReport, SirReport, sir
 
@@ -43,11 +43,11 @@ def _single_run(run: int, sources: np.ndarray, family: MixingFamily,
     mix_seed, dec_seed = _run_seeds(master_seed, run)
     try:
         A = gen_mixing(MixingSpec(family=family, dim=q, seed=mix_seed))
-        X = A @ sources
+        X = _matmul_columns(A, sources)
         cfg = replace(config, rng_seed=dec_seed, channel_center=False)
         result, model, _ = decompose(DataMatrix(X), q=q, config=cfg)
         report = sir(sources, result.S_hat)
-        stage1 = sir(sources, result.Q_stage1 @ model.x_tilde)
+        stage1 = sir(sources, _matmul_columns(result.Q_stage1, model.x_tilde))
         gain = float(result.stage2_objectives.sum()
                      - result.stage1_objectives.sum())
         return McRunDetail(run=run, report=report, stage1_report=stage1,

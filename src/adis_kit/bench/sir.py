@@ -44,6 +44,13 @@ def _greedy_match(corr: np.ndarray) -> np.ndarray:
     return match
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` as an elementwise product and numpy's pairwise sum. BLAS
+    ddot wakes OpenBLAS's thread pool above 10,000 elements, and the pool
+    then spins for about 130 ms (whiten.py, ``_SAMPLE_BLOCK``)."""
+    return float(np.add.reduce(a * b))
+
+
 def sir(S_true: np.ndarray, S_hat: np.ndarray) -> SirReport:
     """Score each estimated source against the true set.
 
@@ -75,12 +82,12 @@ def sir(S_true: np.ndarray, S_hat: np.ndarray) -> SirReport:
     for j in range(q):
         y = Y[j]
         tgt_row = S[match[j]]
-        target = (float(tgt_row @ y) / float(tgt_row @ tgt_row)) * tgt_row
+        target = (_dot(tgt_row, y) / _dot(tgt_row, tgt_row)) * tgt_row
         beta = np.linalg.solve(chol.T, np.linalg.solve(chol, S @ y))
         span_proj = S.T @ beta
         interf = span_proj - target
-        e_t = float(target @ target)
-        e_i = float(interf @ interf)
+        e_t = _dot(target, target)
+        e_i = _dot(interf, interf)
         if e_t == 0.0:
             sir_db[j] = -SIR_CAP_DB
         elif e_i < CAP_ENERGY_RATIO * e_t:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..whiten import _matmul_columns
+
 # sparse_bells: bells per source, and each bell's width as a fraction of n
 BELLS_PER_SOURCE = 2
 BELL_WIDTH_FRAC = 0.008
@@ -108,7 +110,7 @@ def model_dataset(p: int, q: int, n: int, sigma: float, family: str = "gaussian"
         S = rng.gamma(1.0, 1.0, (q, n)) - 1.0
     else:
         raise ValueError(f"unknown source family {family!r}")
-    X = A @ S + sigma * rng.standard_normal((p, n))
+    X = _matmul_columns(A, S) + sigma * rng.standard_normal((p, n))
     if return_truth:
         return X, A, S
     return X

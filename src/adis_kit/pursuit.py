@@ -26,7 +26,8 @@ from .contrast import (ContrastFn, LogCoshNegentropy, ProblemFactory,
                        cayley_row0, cayley_rotation)
 from .latdim import LatDimSummary, estimate_q
 from .nlp import AugLagConfig, SolveScale, SolveTrace, TraceRecord, solve
-from .whiten import DataMatrix, PpcaModel, SourceStats, center, fit_ppca, source_stats
+from .whiten import (DataMatrix, PpcaModel, SourceStats, _matmul_columns,
+                     center, fit_ppca, source_stats)
 
 
 # Stage 1 solves whose scores agree to this relative tolerance count as
@@ -298,12 +299,13 @@ def run_stages(x_tilde: np.ndarray, factory: ProblemFactory,
         Q, joint_trace, fallback, stage2 = refine_joint(Q1, stage1, X,
                                                         factory, config, scale)
 
-    S = Q @ X
+    S = _matmul_columns(Q, X)
     signs = _fix_signs(Q, S)
     Q = signs[:, None] * Q
-    # negation is exact and each row of the product is that row of Q times
-    # X, so flipping the rows of S gives the bits of (signs * Q) @ X without
-    # a second product (but for the sign of an entry that is exactly zero)
+    # negation is exact and every entry of the product is a row of Q times a
+    # column of X, so flipping the rows of S gives the bits of
+    # (signs * Q) @ X without a second product (but for the sign of an
+    # entry that is exactly zero)
     S *= signs[:, None]
 
     return PursuitResult(

@@ -24,6 +24,37 @@ import numpy as np
 
 EIGENGAP_FLOOR = 1e-12
 
+# Columns per block of a product over the sample axis. OpenBLAS runs a dgemm
+# on the calling thread up to 10^6 multiply-adds on its small-matrix path,
+# and up to 524,288 with that path off (one thread per 262,144); above that
+# it wakes its thread pool (scipy-openblas 0.3.31, 2-CPU Xeon; the second
+# figure with OPENBLAS_CORETYPE=Haswell). Once woken, the pool spins for
+# about 130 ms through the single-threaded numpy work that follows, so the
+# second CPU stays busy doing nothing. A 12 x 5 by 5 x 20,000 product
+# (1.2 x 10^6) woke it. Blocks of 4,096 columns keep every product with
+# rows x inner size below 128 under both limits.
+_SAMPLE_BLOCK = 4096
+
+
+def _matmul_columns(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A @ X`` for a (rows x k) ``A`` and a (k x n) ``X``, computed in
+    blocks of ``_SAMPLE_BLOCK`` columns written into one output array.
+
+    Each entry is a row of A times a column of X either way, so the bits are
+    those of the one-call product for a row-major or strided ``X`` (for a
+    column-major one, those of its row-major copy). A one-column block would
+    go to gemv, whose sums run in another order, so a one-column tail joins
+    the block before it.
+    """
+    n = X.shape[1]
+    out = np.empty((A.shape[0], n), dtype=np.result_type(A, X))
+    starts = list(range(0, n, _SAMPLE_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for j0, j1 in zip(starts, starts[1:] + [n]):
+        np.matmul(A, X[:, j0:j1], out=out[:, j0:j1])
+    return out
+
 
 @dataclass
 class DataMatrix:
@@ -149,7 +180,7 @@ def fit_ppca(centered: Centered, q: int) -> PpcaModel:
     U_q = vecs[:, :q]
     scale = np.sqrt(gap)
     A_hat = U_q * scale[None, :]
-    x_tilde = (U_q / scale[None, :]).T @ Xc
+    x_tilde = _matmul_columns((U_q / scale[None, :]).T, Xc)
 
     return PpcaModel(mu_hat=centered.mean, eigvals=vals, U=vecs, q=q,
                      sigma2_hat=sigma2, A_hat=A_hat, x_tilde=x_tilde,
@@ -176,7 +207,7 @@ def source_stats(model: PpcaModel, centered: Centered, s_hat: np.ndarray,
     if A.shape != (p, q):
         raise ValueError(f"mixing has shape {A.shape}, expected ({p}, {q})")
 
-    resid = Xc - A @ s_hat
+    resid = Xc - _matmul_columns(A, s_hat)
     sigma2 = np.sum(resid * resid, axis=0) / (p - q)
     cov_base = np.linalg.inv(A.T @ A)
 

@@ -38,6 +38,18 @@ def laplace_xt():
     return whitened_mixture(S, mix_seed=8)
 
 
+class TestSourceProduct:
+    def test_q8_sources_are_the_one_call_product(self, factory):
+        # at q = 8 and n = 20,000 one product has 1.28e6 multiply-adds, more
+        # than OpenBLAS runs on one thread; run_stages forms it in column
+        # blocks, with the bits of the one call
+        S = np.random.default_rng(8).laplace(size=(8, 20000))
+        x_tilde = whitened_mixture(S, mix_seed=8)
+        cfg = PursuitConfig(n_seeds=10, rng_seed=2, run_stage2=False)
+        res = run_stages(x_tilde, factory, cfg)
+        np.testing.assert_array_equal(res.S_hat, res.Q @ x_tilde)
+
+
 class TestCarriedBlock:
     @pytest.mark.parametrize("q", [10, 12])
     def test_block_spans_what_is_left(self, factory, q, monkeypatch):

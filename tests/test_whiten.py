@@ -1,7 +1,40 @@
 import numpy as np
 import pytest
 
-from adis_kit.whiten import DataMatrix, center, fit_ppca, source_stats
+from adis_kit.whiten import (_SAMPLE_BLOCK, DataMatrix, _matmul_columns,
+                             center, fit_ppca, source_stats)
+
+
+class TestMatmulColumns:
+    """The blocked sample-axis product gives the bits of one ``A @ X``."""
+
+    @pytest.mark.parametrize("n", [2, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK,
+                                   _SAMPLE_BLOCK + 1, 20000])
+    @pytest.mark.parametrize("rows", [1, 5, 12])
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_equals_one_call_product(self, n, rows, k):
+        rng = np.random.default_rng(n + 100 * rows + 10000 * k)
+        A = rng.standard_normal((rows, k))
+        X = rng.standard_normal((k, n))
+        np.testing.assert_array_equal(_matmul_columns(A, X), A @ X)
+
+    @pytest.mark.parametrize("n", [_SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 3,
+                                   20000])
+    def test_strided_operands(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((5, 12)).T      # column-major 12 x 5
+        X = rng.standard_normal((5, 2 * n))[:, ::2]
+        assert not X.flags.c_contiguous and not X.flags.f_contiguous
+        np.testing.assert_array_equal(_matmul_columns(A, X), A @ X)
+
+    def test_column_major_samples_give_the_row_major_bits(self):
+        # a one-call product of a column-major X can round its last few
+        # columns differently; the blocked product does not depend on it
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((12, 5))
+        X = rng.standard_normal((5, _SAMPLE_BLOCK + 2))
+        np.testing.assert_array_equal(
+            _matmul_columns(A, np.asfortranarray(X)), A @ X)
 
 
 class TestCenter:
