@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Protocol, Tuple
+from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from .nlp import NlpProblem
+from .whiten import _contract_columns, _matmul_columns
 
 
 def g_logcosh(x):
@@ -37,7 +38,6 @@ def g_logcosh(x):
     return value, deriv
 
 
-@lru_cache(maxsize=None)
 def gauss_expectation(nodes: int = 80) -> float:
     """E[log cosh v] for standard normal v, by Gauss-Hermite quadrature."""
     if nodes < 60:
@@ -47,49 +47,58 @@ def gauss_expectation(nodes: int = 80) -> float:
     return float((w @ vals) / np.sqrt(np.pi))
 
 
-# log cosh z = |z| - log 2 + log(1 + exp(-2|z|)); _mean_logcosh sums the last
-# term as one logarithm per product of this many factors
+# E[log cosh v] for standard normal v: the 40-digit integral, rounded once.
+# ``gauss_expectation(80)`` is 5.8e-13 above it (the quadrature's own error);
+# reading a constant also keeps the first contrast call of a process from
+# running ``hermgauss``, a LAPACK eigensolver that wakes OpenBLAS's pool.
+GAUSS_LOGCOSH = 0.37456720749143796
+
+# _mean_logcosh takes one logarithm per product of this many cosh values
 _LOGCOSH_BLOCK = 16
-_LOG2 = float(np.log(2.0))
 
 
 def _mean_logcosh(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Mean of log cosh over the last axis of ``z``: one value per row.
 
-    ``scratch`` has the shape of ``z`` and is overwritten; it may be ``z``
-    itself. With ``e = exp(-2|z|)``, the sum over a row is ``sum |z| -
-    n log 2 + sum log(1 + e)``, and the last sum is taken as one ``log``
-    per product of ``_LOGCOSH_BLOCK`` factors ``1 + e``. Each factor lies in
-    [1, 2], so a product of 16 is at most 2^16 and can neither overflow nor
-    underflow; its relative error is at most about 31u, u being the unit
-    roundoff (16 rounded sums and 15 products; Higham 2002, *Accuracy and
-    Stability of Numerical Algorithms*, sec. 3.1). The fewer than 16
-    samples after the last full block take ``log1p``. A block gathers the
+    ``scratch`` has the shape of ``z`` and is overwritten with ``cosh z``;
+    ``z`` is left intact (a ``scratch`` that is ``z`` itself is replaced by
+    a new buffer). The sum over a row is taken as one ``log`` per product of
+    ``_LOGCOSH_BLOCK`` values ``cosh z``, and one ``log`` per sample for the
+    fewer than 16 samples after the last full block. A block gathers the
     samples ``j, j + b, ..., j + 15 b`` of a row with b blocks, so the
-    product is a reduction over a ``(..., 16, b)`` view, not a copy. NaN
-    propagates; ``exp(-2|z|)`` is 0 from |z| = 373 on, and for |z| above
-    half the largest double ``-2|z|`` overflows to -inf, with numpy's
-    overflow warning, and gives the same 0.
+    product is a reduction over a ``(..., 16, b)`` view, not a copy. Each
+    factor is at least 1, so a product never underflows; its relative error
+    is at most about 31u, u being the unit roundoff (16 rounded cosh values
+    and 15 products; Higham 2002, *Accuracy and Stability of Numerical
+    Algorithms*, sec. 3.1).
+
+    A product overflows only when a single |z| exceeds about 710, or |z|
+    averages above about 44 over its block. Such a row sums to +inf, and is
+    summed again from ``z`` as ``|z| - log 2 + log1p(exp(-2|z|))``, the
+    form of ``g_logcosh`` that stays finite over the whole double range;
+    no overflow warning escapes. An infinite ``z`` gives +inf either way,
+    and NaN propagates.
     """
+    if scratch is z:
+        scratch = np.empty_like(z)
     n = z.shape[-1]
-    a = np.abs(z, out=scratch)
-    total = a.sum(axis=-1)
-    a *= -2.0
-    np.exp(a, out=a)
     blocks = n // _LOGCOSH_BLOCK
     full = blocks * _LOGCOSH_BLOCK
-    if blocks:
-        head = a[..., :full]
-        head += 1.0
-        prods = np.multiply.reduce(
-            head.reshape(a.shape[:-1] + (_LOGCOSH_BLOCK, blocks)), axis=-2)
-        np.log(prods, out=prods)
-        total += prods.sum(axis=-1)
+    with np.errstate(over="ignore"):
+        c = np.cosh(z, out=scratch)
+        logs = np.multiply.reduce(
+            c[..., :full].reshape(c.shape[:-1] + (_LOGCOSH_BLOCK, blocks)),
+            axis=-2)
+    np.log(logs, out=logs)
+    total = logs.sum(axis=-1)
     if full < n:
-        rest = a[..., full:]
-        np.log1p(rest, out=rest)
+        rest = c[..., full:]
+        np.log(rest, out=rest)
         total += rest.sum(axis=-1)
-    return total / n - _LOG2
+    over = np.isinf(total)
+    if over.any():
+        total = np.where(over, g_logcosh(z)[0].sum(axis=-1), total)
+    return total / n
 
 
 def negentropy(w: np.ndarray, x_tilde: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -108,7 +117,7 @@ def negentropy(w: np.ndarray, x_tilde: np.ndarray) -> Tuple[float, np.ndarray]:
     if n < 2:
         raise ValueError("need at least 2 samples")
     z = w @ X
-    diff = _mean_logcosh(z, np.empty_like(z)) - gauss_expectation()
+    diff = _mean_logcosh(z, np.empty_like(z)) - GAUSS_LOGCOSH
     np.tanh(z, out=z)
     if w.ndim == 2:
         grad = (2.0 * diff / n)[:, None] * (z @ X.T)
@@ -119,9 +128,17 @@ def negentropy(w: np.ndarray, x_tilde: np.ndarray) -> Tuple[float, np.ndarray]:
 
 
 # Element budget of one projected block in LogCoshNegentropy.scores and
-# evaluate_rows: 64k doubles (512 KiB) keep the block in cache. Whole
-# (directions x samples) temporaries miss cache and lose to a per-direction
-# loop, and so do small fixed row counts at large n.
+# evaluate_rows: 64k doubles (512 KiB) keep the block, and the cosh buffer of
+# the same size, in cache. Whole (directions x samples) temporaries miss
+# cache and lose to a per-direction loop, and so do small fixed row counts at
+# large n (one row per block at n = 20,000 took 7.2 ms per 100 directions,
+# three rows 5.3 ms). Re-measured with the second buffer: scores on 100
+# directions of q = 5 took 6.4 / 4.4 / 4.6 ms at 2^15 / 2^16 / 2^17 for
+# n = 20,000, and 0.50 / 0.47 / 0.47 ms for n = 2,000. scores allocates both
+# buffers as one array: as two, glibc trimmed the heap after each call (it
+# trims when the free top reaches twice the largest block freed), and every
+# call faulted its pages in again, 872 minor faults per bss-synth5 operation
+# against 0.1 as one (seed 3, ops 2..21).
 SCORE_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -148,9 +165,16 @@ class ContrastFn(Protocol):
         """
         return np.array([self.evaluate(d, x_tilde)[0] for d in D])
 
+    def hessian_rows(self, W: np.ndarray, x_tilde: np.ndarray
+                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Gradients and Hessians in w, one per row of ``W``, of the
+        ``evaluate_rows`` values; None when the contrast offers no
+        curvature, as the default does."""
+        return None
+
 
 class LogCoshNegentropy(ContrastFn):
-    """Default contrast; stateless apart from the cached Gaussian moment."""
+    """Default contrast; stateless."""
 
     def evaluate(self, w, x_tilde):
         return negentropy(w, x_tilde)
@@ -174,7 +198,8 @@ class LogCoshNegentropy(ContrastFn):
 
         Projects a block of rows at a time, sized by
         ``SCORE_BLOCK_ELEMENTS``, into one buffer reused for every block,
-        and takes ``_mean_logcosh`` in place there; no tanh is computed.
+        and takes ``_mean_logcosh`` with a second buffer of the same size
+        for its cosh values; no tanh is computed.
         """
         D = np.asarray(D, dtype=float)
         X = np.asarray(x_tilde, dtype=float)
@@ -183,15 +208,47 @@ class LogCoshNegentropy(ContrastFn):
             raise ValueError("need at least 2 samples")
         m = D.shape[0]
         k = max(1, min(m, SCORE_BLOCK_ELEMENTS // n))
-        z = np.empty((k, n))
-        c = gauss_expectation()
+        # both buffers in one allocation (see SCORE_BLOCK_ELEMENTS)
+        z, cosh = np.empty((2, k, n))
         out = np.empty(m)
         for i in range(0, m, k):
             rows = D[i:i + k]
             zb = z[:rows.shape[0]]
             np.matmul(rows, X, out=zb)
-            out[i:i + rows.shape[0]] = _mean_logcosh(zb, zb) - c
+            out[i:i + rows.shape[0]] = (
+                _mean_logcosh(zb, cosh[:rows.shape[0]]) - GAUSS_LOGCOSH)
         return out * out
+
+    def hessian_rows(self, W, x_tilde):
+        """Gradient and Hessian in w of ``negentropy`` for each row of
+        ``W``: with ``m`` the mean log cosh of the projection and ``nu`` its
+        Gaussian value, the score is ``(m - nu)^2``, its gradient
+        ``2 (m - nu) grad m`` and its Hessian ``2 grad m grad m' + 2 (m -
+        nu) X diag(1 - tanh^2) X' / n``. Returns arrays of shapes ``(r, q)``
+        and ``(r, q, q)``, the Hessians exactly symmetric. Every product
+        over the sample axis runs in column blocks (``whiten``'s
+        ``_matmul_columns`` and ``_contract_columns``), none of which woke
+        OpenBLAS's thread pool up to q = 15 at n = 20,000."""
+        W = np.asarray(W, dtype=float)
+        X = np.asarray(x_tilde, dtype=float)
+        n = X.shape[1]
+        if n < 2:
+            raise ValueError("need at least 2 samples")
+        Z = _matmul_columns(W, X)
+        diff = _mean_logcosh(Z, np.empty_like(Z)) - GAUSS_LOGCOSH
+        t = np.tanh(Z, out=Z)
+        grad_m = _contract_columns(t, X) / n
+        t *= t
+        np.subtract(1.0, t, out=t)
+        # the weighted Grams plus their transposes: each twice X diag(1 -
+        # tanh^2) X', symmetric to the last bit
+        buf = np.empty_like(X)
+        grams = np.array([_contract_columns(np.multiply(X, s, out=buf), X)
+                          for s in t])
+        grams += grams.transpose(0, 2, 1)
+        H = (diff / n)[:, None, None] * grams
+        H += 2.0 * grad_m[:, :, None] * grad_m[:, None, :]
+        return 2.0 * diff[:, None] * grad_m, H
 
 
 # user constraint block: (w, x_tilde) -> (values, jacobian wrt w)
@@ -312,6 +369,44 @@ class ProblemFactory:
                           ineq_constraints=(per_direction(cs.ineq)
                                             if cs.ineq else None),
                           n_ineq=cs.n_ineq * moved)
+
+    def rotation_hessian(self, x_tilde: np.ndarray, start: np.ndarray,
+                         moved: int) -> Optional[np.ndarray]:
+        """Exact Hessian of ``rotation_problem(x_tilde, start, moved)``'s
+        objective at x = 0, or None when the contrast offers no curvature
+        (``ContrastFn.hessian_rows``).
+
+        Variable i is the entry (a, b), a < b, of the skew K; its generator
+        is ``E_i = e_a e_b' - e_b e_a'``. The Cayley map is ``C(K) = I + K +
+        K^2/2 + O(K^3)``, so the summed score of the moved rows has the
+        Hessian ``T1 + T2``. ``T1_ij = sum_k (E_i Q)_k' H_k (E_j Q)_k``
+        pulls back each moved row's Hessian H_k (Q is ``start``), and
+        ``T2_ij = tr(E_i E_j S)``, with S the symmetric part of ``Q G'``
+        and G the moved rows' gradients, is the gradient times the
+        ``K^2/2`` term. As E_i has two entries, both reduce to entries of
+        ``N_k = Q H_k Q' - S`` (H_k = 0 for the rows not moved): with j =
+        (c, d), ``[a=c] N_a[b, d] - [a=d] N_a[b, c] - [b=c] N_b[a, d] +
+        [b=d] N_b[a, c]``. The objective is the negated score.
+        """
+        X = np.asarray(x_tilde, dtype=float)
+        start = np.asarray(start, dtype=float)
+        curvature = self.contrast.hessian_rows(start[:moved], X)
+        if curvature is None:
+            return None
+        grads, hessians = curvature
+        r = start.shape[0]
+        dim = moved * (r - 1) - moved * (moved - 1) // 2
+        P = np.zeros((r, r))
+        P[:, :moved] = start @ grads.T
+        N = np.zeros((r, r, r))
+        N[:moved] = start @ hessians @ start.T
+        N -= 0.5 * (P + P.T)
+        rows, cols = _triu_pairs(r)
+        a, b = rows[:dim, None], cols[:dim, None]
+        c, d = rows[None, :dim], cols[None, :dim]
+        T = ((a == c) * N[a, b, d] - (a == d) * N[a, b, c]
+             - (b == c) * N[b, a, d] + (b == d) * N[b, a, c])
+        return -0.5 * (T + T.T)
 
 
 def cayley_row0(x: np.ndarray, start: np.ndarray

@@ -123,8 +123,8 @@ class DenseQuasiNewton(_PairScale):
 
 
 # Nothing in the package builds this class. It stays only because the
-# benchmark's tracer names LimitedQuasiNewton.update; ROADMAP item 8 deletes
-# it once item 4 has taken that name out of the tracer.
+# benchmark's tracer names LimitedQuasiNewton.update; ROADMAP item 5 takes
+# that name out of the tracer and then deletes the class.
 class LimitedQuasiNewton(_PairScale):
     """Limited-memory SR1 over a window of recent (s, y) pairs."""
 

@@ -29,9 +29,11 @@ gradients are about 2e-3, their curvatures about 0.007, and their optima lie
 Math. Program. 14; Nocedal & Wright 2006, Numerical Optimization, eq. 6.20).
 The solve reports the scale it ended with, ``NlpSolution.scale``: its last
 trust radius and y'y / y's of its last pair with y's > 0. Given a scale, it
-takes the radius as its first trust radius and, when there is a curvature
-c, starts at B = c·I with no rescaling. The pursuit hands each converged
-solve's scale to the next solve. Objective evaluations per operation and
+takes the radius as its first trust radius and, when there is a curvature,
+starts with no rescaling at B = c·I for a scalar c, or at B = the given
+matrix, such as an exact Hessian. The pursuit hands each converged Stage 1
+solve's scale to the next solve, and starts Stage 2 at the last radius and
+the exact Hessian of its objective. Objective evaluations per operation and
 inner iterations per Stage 1 / Stage 2 solve (benchmark seed 3, bss-synth5
 ops 1..40 and bss-noisy-long ops 1..8):
 
@@ -40,6 +42,7 @@ ops 1..40 and bss-noisy-long ops 1..8):
     first-pair rescaling alone       85.92  7.27/ 9.80   91.25  7.69/11.75
     + the last solve's radius        76.25  6.34/ 7.55   84.38  6.88/11.38
     + its curvature (Stage 1 only)   62.85  4.58/ 8.25   72.75  5.48/10.88
+    + exact Hessian (Stage 2)        56.83  4.58/ 2.23   70.00  5.48/ 8.13
 
 With equality rows the rule took more iterations (polygon-6 88 -> 108), so
 those solves start as before, ignore a given scale and report none.
@@ -64,7 +67,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -133,10 +136,11 @@ class SolveScale:
     """The scale a solve without equality rows ends with, to start another
     from: its last trust radius and the curvature scale y'y / y's of its
     last pair with y's > 0. A ``curvature`` of None leaves the start matrix
-    to the first-pair rescaling."""
+    to the first-pair rescaling; a dim x dim array is the start matrix
+    itself, such as an exact Hessian at the start point."""
 
     radius: float
-    curvature: Optional[float] = None
+    curvature: Optional[Union[float, np.ndarray]] = None
 
 
 @dataclass
@@ -299,6 +303,23 @@ def inner_solve(model, x_start: np.ndarray, lower: np.ndarray,
                        delta=delta)
 
 
+def _check_scale(scale: SolveScale, dim: int) -> None:
+    """A start scale's radius is positive and finite; its curvature is
+    None, a positive finite scalar, or a finite symmetric dim x dim
+    matrix."""
+    c = scale.curvature
+    if np.ndim(c):
+        c = np.asarray(c, dtype=float)
+        ok = (c.shape == (dim, dim) and bool(np.isfinite(c).all())
+              and np.array_equal(c, c.T))
+    else:
+        ok = c is None or 0.0 < c < math.inf
+    if not (ok and 0.0 < scale.radius < math.inf):
+        raise ValueError(f"scale must be positive and finite, with a "
+                         f"scalar or symmetric {dim} x {dim} curvature; "
+                         f"got {scale}")
+
+
 def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
           config: Optional[AugLagConfig] = None,
           scale: Optional[SolveScale] = None) -> NlpSolution:
@@ -310,18 +331,17 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
 
     When the converted problem has no equality rows, ``scale`` (another
     solve's ``NlpSolution.scale``) sets the first trust radius and, if it
-    has a curvature, the start matrix curvature·I; without a curvature the
-    matrix is rescaled at the first pair. Such a solve reports the scale it
-    ended with, or the one it was given when it took no iteration. With
-    equality rows ``scale`` is ignored and none is reported.
+    has a curvature, the start matrix: curvature·I for a scalar, the matrix
+    itself for a dim x dim array (finite, and symmetric, as the SR1 update
+    assumes; it may be indefinite). Without a curvature the matrix is
+    rescaled at the first pair. Such a solve reports the scale it ended
+    with, or the one it was given when it took no iteration. With equality
+    rows ``scale`` is ignored and none is reported.
     """
     cfg = config if config is not None else AugLagConfig()
     cfg.validate()
-    if scale is not None and not (
-            0.0 < scale.radius < math.inf
-            and (scale.curvature is None
-                 or 0.0 < scale.curvature < math.inf)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if scale is not None:
+        _check_scale(scale, problem.dim)
 
     converted = problem.n_ineq > 0
     prob = add_slacks(problem) if converted else problem
@@ -364,7 +384,10 @@ def solve(problem: NlpProblem, x0: Optional[np.ndarray] = None,
             rescale_first = True
         else:
             gamma = scale.curvature
-    qn = DenseQuasiNewton(prob.dim, gamma, rescale_first)
+    if np.ndim(gamma):
+        qn = DenseQuasiNewton.from_matrix(gamma)
+    else:
+        qn = DenseQuasiNewton(prob.dim, gamma, rescale_first)
 
     trace = SolveTrace()
     status = SolveStatus.MAX_ITERATIONS

@@ -56,6 +56,19 @@ def _matmul_columns(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _contract_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B.T`` for a (rows x n) ``A`` and a (k x n) ``B``: the products
+    of blocks of ``_SAMPLE_BLOCK`` columns, summed. Each block stays under
+    OpenBLAS's single-thread limit for rows x k below 244 (the one-call
+    product wakes the pool from about 10^6 multiply-adds); the sums run in
+    another order than the one call's.
+    """
+    out = A[:, :_SAMPLE_BLOCK] @ B[:, :_SAMPLE_BLOCK].T
+    for j0 in range(_SAMPLE_BLOCK, A.shape[1], _SAMPLE_BLOCK):
+        out += A[:, j0:j0 + _SAMPLE_BLOCK] @ B[:, j0:j0 + _SAMPLE_BLOCK].T
+    return out
+
+
 @dataclass
 class DataMatrix:
     """p x n data block: p channels (or time points), n samples."""
@@ -194,6 +207,12 @@ def source_stats(model: PpcaModel, centered: Centered, s_hat: np.ndarray,
 
     ``mixing`` defaults to the model's unrotated estimate; pass the final
     rotated mixing when ``s_hat`` comes from a rotated solution.
+
+    The residual energy of each sample is divided by the residual's degrees
+    of freedom: p - q, less one under channel centering, which leaves every
+    sample in the (p - 1)-dimensional sum-zero subspace. At q = p - 1 under
+    channel centering none are left and the residual is zero up to
+    rounding; ``sigma2`` is then 0, as ``fit_ppca``'s noise floor is.
     """
     Xc = centered.values
     p, n = Xc.shape
@@ -208,7 +227,8 @@ def source_stats(model: PpcaModel, centered: Centered, s_hat: np.ndarray,
         raise ValueError(f"mixing has shape {A.shape}, expected ({p}, {q})")
 
     resid = Xc - _matmul_columns(A, s_hat)
-    sigma2 = np.sum(resid * resid, axis=0) / (p - q)
+    dof = p - q - int(centered.channel_center)
+    sigma2 = (np.sum(resid * resid, axis=0) / dof if dof else np.zeros(n))
     cov_base = np.linalg.inv(A.T @ A)
 
     col_var = np.var(A, axis=0)

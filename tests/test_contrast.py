@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from adis_kit.contrast import (
+    GAUSS_LOGCOSH,
     ConstraintSet,
     ContrastFn,
     LogCoshNegentropy,
@@ -15,6 +18,7 @@ from adis_kit.contrast import (
     negentropy,
 )
 from adis_kit.nlp import AugLagConfig, check_gradients, solve
+from adis_kit.whiten import center, fit_ppca
 
 
 def mean_abs(t_target):
@@ -135,6 +139,22 @@ class TestGaussExpectation:
         with pytest.raises(ValueError):
             gauss_expectation(40)
 
+    def test_constant_is_the_integral_rounded_once(self):
+        import mpmath
+        with mpmath.workdps(40):
+            def density(v):
+                return (mpmath.log(mpmath.cosh(v)) * mpmath.exp(-v * v / 2)
+                        / mpmath.sqrt(2 * mpmath.pi))
+            # the integrand is even; beyond 40 it is below 1e-340
+            exact = 2 * mpmath.quad(density, [0, 1, 2, 4, 8, 16, 40])
+            assert abs(GAUSS_LOGCOSH - exact) <= 1e-16
+
+    def test_constant_against_the_quadrature(self):
+        # the 80-node rule is 5.8e-13 above the integral (its own error, as
+        # test_node_count_stability bounds it); 120 nodes come within 2e-15
+        assert abs(GAUSS_LOGCOSH - gauss_expectation(80)) <= 1e-12
+        assert abs(GAUSS_LOGCOSH - gauss_expectation(120)) <= 2e-15
+
 
 def _reference_mean_logcosh(z):
     """Mean of log cosh over ``z`` at 40 digits, rounded once."""
@@ -218,6 +238,71 @@ class TestMeanLogcoshKernel:
         values, grads = negentropy(D, X)
         assert np.all(np.isnan(values)) and np.all(np.isnan(grads))
         assert np.all(np.isnan(LogCoshNegentropy().scores(D, X)))
+
+
+class TestMeanLogcoshOverflow:
+    """Rows whose cosh product overflows are summed again from z: within
+    1e-15 of the 40-digit reference, with no warning."""
+
+    N = 600     # 37 blocks of 16, and a tail of 8 samples
+
+    @staticmethod
+    def check(z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _mean_logcosh(z, np.empty_like(z))
+        ref = _reference_mean_logcosh(z)
+        if np.isnan(ref) or np.isinf(ref):
+            assert got == ref or (np.isnan(got) and np.isnan(ref))
+        else:
+            assert abs(got - ref) <= 1e-15
+        return got
+
+    def base(self):
+        return TestMeanLogcoshKernel.projection("laplace", self.N)
+
+    def test_a_block_of_finite_cosh_values_overflows(self):
+        # cosh(50)^16 is about e^800 / 2^16: every factor finite, the
+        # product not; block 3 holds samples 3, 3 + 37, ..., 3 + 15 * 37
+        z = self.base()
+        z[3:16 * 37:37] = 50.0
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.prod(np.cosh(z[3:16 * 37:37])))
+        self.check(z)
+
+    @pytest.mark.parametrize("where", [5, 595])
+    def test_a_single_cosh_overflows(self, where):
+        # sample 5 lies in a full block, sample 595 in the tail
+        z = self.base()
+        z[where] = -800.0
+        self.check(z)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_next_to_an_overflowing_block(self, bad):
+        z = self.base()
+        z[3:16 * 37:37] = 50.0
+        z[100] = bad
+        got = self.check(z)
+        assert np.isnan(got) if np.isnan(bad) else got == np.inf
+
+    def test_overflowing_row_among_rows(self):
+        # only the overflowing row is summed again; the others keep their
+        # block-product values (row 1's mean is about 17, hence relative)
+        Z = np.array([self.base(), self.base(), self.base()])
+        Z[1, 7] = 1e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = _mean_logcosh(Z, np.empty_like(Z))
+        assert means[0] == means[2] == _mean_logcosh(Z[0], np.empty_like(Z[0]))
+        assert means[1] == pytest.approx(_reference_mean_logcosh(Z[1]),
+                                         rel=1e-15, abs=1e-15)
+
+    def test_scratch_that_is_z_leaves_z_intact(self):
+        z = self.base()
+        z[5] = 800.0
+        kept = z.copy()
+        assert _mean_logcosh(z, z) == _mean_logcosh(kept, np.empty_like(z))
+        assert z.tobytes() == kept.tobytes()
 
 
 class TestNegentropy:
@@ -513,3 +598,53 @@ class TestCompose:
         assert sol.converged
         c, _ = problem.eval_eq(sol.x)
         assert np.max(np.abs(c)) <= 1e-6
+
+
+def _central_jacobian(fn, x, h=1e-5):
+    """Central differences of a vector function of x, one column per
+    entry of x."""
+    cols = [(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.size)]
+    return np.array(cols).T
+
+
+class TestCurvature:
+    """``hessian_rows`` and ``ProblemFactory.rotation_hessian`` against
+    central differences of the analytic gradients."""
+
+    @staticmethod
+    def data(q, n=3000, seed=0):
+        rng = np.random.default_rng(seed + q)
+        S = rng.laplace(size=(q, n))
+        Qr, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        start, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        X = fit_ppca(center(Qr @ S, channel_center=False), q).x_tilde
+        return X, start
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_rows_match_negentropy(self, q):
+        X, W = self.data(q)
+        grads, hessians = LogCoshNegentropy().hessian_rows(W, X)
+        values, want = negentropy(W, X)
+        np.testing.assert_allclose(grads, want, rtol=1e-12, atol=1e-16)
+        for w, H in zip(W, hessians):
+            assert np.array_equal(H, H.T)
+            fd = _central_jacobian(lambda v: negentropy(v, X)[1], w)
+            assert np.abs(H - fd).max() <= 1e-8 * np.abs(H).max()
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_rotation_hessian_matches_differences(self, q):
+        X, start = self.data(q)
+        factory = ProblemFactory(LogCoshNegentropy())
+        for moved in sorted({1, q}):
+            problem = factory.rotation_problem(X, start, moved)
+            H = factory.rotation_hessian(X, start, moved)
+            assert H.shape == (problem.dim, problem.dim)
+            assert np.array_equal(H, H.T)
+            fd = _central_jacobian(lambda x: problem.eval_objective(x)[1],
+                                   np.zeros(problem.dim))
+            assert np.abs(H - fd).max() <= 1e-9
+
+    def test_contrast_without_curvature_offers_none(self):
+        X, start = self.data(3)
+        assert Cubic().hessian_rows(start, X) is None
+        assert ProblemFactory(Cubic()).rotation_hessian(X, start, 3) is None

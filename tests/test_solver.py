@@ -479,6 +479,25 @@ class TestStartScale:
         with pytest.raises(ValueError):
             solve(_small_curvature_quadratic(), x0=np.zeros(3), scale=scale)
 
+    def test_matrix_curvature_is_the_start_matrix(self, monkeypatch):
+        # the exact Hessian of the quadratic: the first model is the
+        # problem itself, so one full step inside the radius solves it
+        problem = _small_curvature_quadratic()
+        H = np.diag([0.01, 0.02, 0.04])
+        sol, (B, rescale, delta0) = self.first_inner_start(
+            monkeypatch, problem, scale=SolveScale(0.3, H))
+        assert delta0 == 0.3 and not rescale
+        assert B.tobytes() == H.tobytes() and B is not H
+        assert sol.converged and sol.n_inner == 1
+
+    @pytest.mark.parametrize("curvature", [
+        np.eye(2), np.full((3, 3), np.nan), np.triu(np.ones((3, 3)))])
+    def test_rejects_a_matrix_that_is_not_finite_symmetric_dim(self,
+                                                               curvature):
+        with pytest.raises(ValueError):
+            solve(_small_curvature_quadratic(), x0=np.zeros(3),
+                  scale=SolveScale(0.5, curvature))
+
     @pytest.mark.parametrize("make", [
         lambda: polygon_problem(6, seed=0),
         lambda: nnls_problem(*random_nnls_instance(40, 20, seed=0)),
@@ -516,7 +535,9 @@ class _ReferenceQuasiNewton:
     """Dense SR1, updated at every iteration, accepted or not."""
 
     def __init__(self, n, gamma, rescale_first):
-        self.B = gamma * np.eye(n)
+        # a matrix curvature is the start matrix itself
+        self.B = (np.array(gamma, dtype=float) if np.ndim(gamma)
+                  else gamma * np.eye(n))
         self.rescale_first = rescale_first
         self.pair_scale = None
 
@@ -779,6 +800,15 @@ def _check_against_reference(solves):
                               _reference_solve(problem, x0, cfg, scale))
 
 
+def _central_hessian(problem, h=1e-5):
+    """Central differences of the objective's gradient at x = 0."""
+    cols = []
+    for e in h * np.eye(problem.dim):
+        cols.append((problem.eval_objective(e)[1]
+                     - problem.eval_objective(-e)[1]) / (2.0 * h))
+    return np.array(cols).T
+
+
 class TestRewrittenSolverMatchesReference:
     def test_bss_synth5_stage1_and_stage2(self, monkeypatch):
         # one operation of the bss-synth5 benchmark workload
@@ -791,11 +821,13 @@ class TestRewrittenSolverMatchesReference:
         moved = [p.dim for p, _, _, _ in solves]
         assert moved == [4, 4, 3, 3, 2, 2, 1, 1, 10]
         # every solve after the first starts at a handed-on scale, Stage 2
-        # at the radius alone
+        # at its radius and the exact Hessian of the joint problem at K = 0
         scales = [sc for _, _, _, sc in solves]
         assert scales[0] is None and None not in scales[1:]
-        assert scales[-1].curvature is None
         assert all(sc.curvature > 0 for sc in scales[1:-1])
+        joint, H = solves[-1][0], scales[-1].curvature
+        assert H.shape == (10, 10)
+        assert np.abs(H - _central_hessian(joint)).max() <= 1e-9
         _check_against_reference(solves)
 
     def test_bss_noisy_stage1_and_stage2(self, monkeypatch):

@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
-from adis_kit.whiten import (_SAMPLE_BLOCK, DataMatrix, _matmul_columns,
-                             center, fit_ppca, source_stats)
+from adis_kit.bench import model_dataset
+from adis_kit.whiten import (_SAMPLE_BLOCK, DataMatrix, _contract_columns,
+                             _matmul_columns, center, fit_ppca, source_stats)
+
+
+class TestContractColumns:
+    """The blocked contraction over the sample axis: ``A @ B.T`` to
+    rounding."""
+
+    @pytest.mark.parametrize("n", [2, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
+                                   20000])
+    def test_matches_one_product(self, n):
+        rng = np.random.default_rng(n)
+        A, B = rng.standard_normal((3, n)), rng.standard_normal((5, n))
+        got = _contract_columns(A, B)
+        assert got.shape == (3, 5)
+        np.testing.assert_allclose(got, A @ B.T, rtol=0,
+                                   atol=1e-13 * np.sqrt(n))
 
 
 class TestMatmulColumns:
@@ -221,6 +237,28 @@ class TestSourceStats:
         assert np.count_nonzero(~nz) == 2
         assert stats.rv.tobytes() == old.tobytes()
         assert not stats.rv[:, ~nz].any()
+
+    @pytest.mark.parametrize("channel_center", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noise_variance_within_2pct(self, channel_center, seed):
+        # the residual has p - q - 1 degrees of freedom under channel
+        # centering and p - q without; dividing by p - q read 6/7 of the
+        # truth with centering
+        X = model_dataset(p=12, q=5, n=20000, sigma=0.5, family="uniform",
+                          seed=seed)
+        centered = center(X, channel_center=channel_center)
+        model = fit_ppca(centered, q=5)
+        stats = source_stats(model, centered, model.x_tilde)
+        assert abs(stats.sigma2.mean() / 0.25 - 1.0) <= 0.02
+
+    def test_no_degree_of_freedom_left_gives_zero(self):
+        # q = p - 1 under channel centering: the residual is rounding only
+        rng = np.random.default_rng(14)
+        centered = center(rng.standard_normal((4, 3)) @
+                          rng.laplace(size=(3, 500)))
+        model = fit_ppca(centered, q=3)
+        stats = source_stats(model, centered, model.x_tilde)
+        assert not stats.sigma2.any()
 
     def test_square_case_rejected(self):
         rng = np.random.default_rng(12)

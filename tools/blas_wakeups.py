@@ -6,11 +6,11 @@ Runs one operation shaped like the ``bss-noisy-long`` benchmark workload
 (``model_dataset`` with p = 12, q = 5, sigma 0.5 and uniform sources, then
 the steps of ``decompose`` with q estimated, then ``sir``) one step at a
 time, after one unmeasured run of the same operation that pays the
-first-call costs (the contrast's Gaussian moment is computed once per
-process, by a LAPACK call that wakes the pool). Before each step it sleeps
-until a woken pool has gone back to sleep,
-then it reads the CPU time of every thread of the process but the calling
-one from ``/proc/self/task/*/schedstat`` (read only). Each step's figure
+first-call costs (lazy imports and caches; none of them wakes the pool, so
+the steps of a fresh process read the same). Before each step it sleeps
+until a woken pool has gone back to sleep, then it reads the CPU time of
+every thread of the process but the calling one from
+``/proc/self/task/*/schedstat`` (read only). Each step's figure
 runs from the end of the sleep before it to the end of the sleep after it,
 so it includes the spin a woken pool keeps up once the call has returned.
 For each step it prints the wall time and that other-thread CPU time; a
